@@ -73,6 +73,10 @@ class LambdaSchedule:
     normalizer: float
     _chunks: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("power", "adaptive"):
+            raise ValueError(f"kind must be 'power' or 'adaptive', got {self.kind!r}")
+
     def _chunk(self, c: int) -> np.ndarray:
         cached = self._chunks.get(c)
         if cached is not None:

@@ -145,8 +145,6 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
     if replicate < 0:
         raise ValueError(f"replicate must be >= 0, got {replicate}")
     m = config.signal_count
-    if m == 0:
-        raise ValueError("degenerate experiment: round(n**(1-beta)) is zero signals")
     rng = _replicate_rng(config, replicate)
     stats = gg_sample(config.kernel, rng, config.n)
     positions = rng.choice(config.n, size=m, replace=False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfdr import engines
 from streamfdr import (
     GGKernel,
     LondState,
@@ -18,6 +19,7 @@ from streamfdr import (
     lond_step,
     lord_levels,
     lord_step,
+    make_adaptive_schedule,
     make_power_schedule,
     pvalue,
     run_stream,
@@ -228,6 +230,115 @@ class TestRunStream:
             run_stream("lord", sched, [0.2, 1.5])
         with pytest.raises(ValueError):
             run_stream("lond", sched, [0.2, float("nan")])
+
+
+SCHEDULES = {
+    "power": make_power_schedule(1.05, 0.1),
+    "steep": make_power_schedule(2.0, 0.1),
+    "adaptive": make_adaptive_schedule(0.1),
+    "geometric": GeometricSchedule(),  # underflows to 0.0 past index ~1075
+    "constant": ConstantSchedule(0.4),  # lond clamps at 1; no ``prefix``
+}
+
+# Settings of the shared core's private constants, so that the fixpoint,
+# the scan and the settled-prefix fallback each meet every stream.
+CORE_MODES = {
+    "as shipped": {},
+    "fixpoint": {"_DENSE_SHARE": 0.0, "_MAX_ROUNDS": 10**6},
+    "scan": {"_DENSE_SHARE": math.inf},
+    "fallback after 1 round": {"_DENSE_SHARE": 0.0, "_MAX_ROUNDS": 1},
+    "fallback after 3 rounds": {"_DENSE_SHARE": 0.0, "_MAX_ROUNDS": 3},
+}
+
+FOLDS = (("lord", lord_levels, fold_lord), ("lond", lond_levels, fold_lond))
+
+# Lengths at the scan's galloping block seams (64, 64 + 128, ...).
+SEAM_LENGTHS = [0, 1, 2, 63, 64, 65, 191, 192, 193, 447, 448, 449]
+
+
+def assert_core_matches_fold(p, sched):
+    p = np.asarray(p, dtype=np.float64)
+    for engine, levels, fold in FOLDS:
+        decisions = fold(p, sched)
+        want_alpha = [d.alpha for d in decisions]
+        want_rejected = [d.rejected for d in decisions]
+        for mode, constants in CORE_MODES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in constants.items():
+                    mp.setattr(engines, name, value)
+                alpha, rejected = levels(p, sched)
+            assert alpha.tolist() == want_alpha, (engine, mode)
+            assert rejected.tolist() == want_rejected, (engine, mode)
+
+
+@st.composite
+def adversarial_streams(draw):
+    """A schedule and a stream of exact ties, 0s, 1s, chain links and noise."""
+    sched = SCHEDULES[draw(st.sampled_from(sorted(SCHEDULES)))]
+    n = draw(st.sampled_from(SEAM_LENGTHS[:7]) | st.integers(0, 300))
+    token = st.one_of(
+        st.just(0.0),
+        st.just(1.0),
+        st.just((1, 1)),  # lambda_1: each lord rejection enables the next
+        st.tuples(st.integers(1, n + 1), st.integers(1, 4)),  # tie with k * lambda_j
+        st.floats(0.0, 1.0),
+    )
+    tokens = draw(st.lists(token, min_size=n, max_size=n))
+    p = [min(1.0, sched.lambda_at(t[0]) * t[1]) if isinstance(t, tuple) else t for t in tokens]
+    return sched, p
+
+
+class TestSharedCore:
+    @given(adversarial_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fold_on_adversarial_streams(self, case):
+        sched, p = case
+        assert_core_matches_fold(p, sched)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    def test_constant_streams(self, name, n):
+        for value in (0.0, 1.0):
+            assert_core_matches_fold(np.full(n, value), SCHEDULES[name])
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_discovery_chain(self, name):
+        # p_i = lambda_1: under lord every rejection enables the next, so
+        # the fixpoint settles one index per round.
+        sched = SCHEDULES[name]
+        assert_core_matches_fold(np.full(300, sched.lambda_at(1)), sched)
+
+    def test_geometric_underflow(self):
+        sched = SCHEDULES["geometric"]
+        assert sched.lambda_at(1100) == 0.0
+        rng = np.random.default_rng(7)
+        p = np.where(rng.random(1200) < 0.3, 0.0, rng.random(1200) ** 4)
+        assert_core_matches_fold(p, sched)
+        assert_core_matches_fold(np.zeros(1200), sched)
+
+    def test_dense_stream_across_seams(self):
+        # Dense enough for the fixpoint as shipped, long enough for the scan
+        # to gallop past several blocks after the capped fallback.
+        sched = SCHEDULES["power"]
+        rng = np.random.default_rng(17)
+        p = np.where(rng.random(5000) < 0.05, rng.random(5000) * 1e-4, rng.random(5000))
+        p[4000:] = rng.random(1000)
+        assert_core_matches_fold(p, sched)
+
+    def test_reads_the_schedule_once(self):
+        class Counting(ConstantSchedule):
+            calls = 0
+
+            def slice(self, lo, hi):
+                Counting.calls += 1
+                return super().slice(lo, hi)
+
+        rng = np.random.default_rng(3)
+        for p in (rng.random(3000), rng.random(3000) ** 8):
+            for levels in (lord_levels, lond_levels):
+                Counting.calls = 0
+                levels(p, Counting(0.01))
+                assert Counting.calls == 1
 
 
 class TestScaleInvariance:

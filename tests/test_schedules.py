@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfdr import make_adaptive_schedule, make_power_schedule
+from streamfdr import LambdaSchedule, make_adaptive_schedule, make_power_schedule
 
 
 def zeta_bracket(nu, n_terms=10**7):
@@ -174,6 +174,10 @@ class TestLambdaAccess:
         expected = sched.normalizer * float(np.float64(i)) ** -2.0
         assert sched.lambda_at(i) == pytest.approx(expected, rel=1e-12)
         assert sched.lambda_at(i) == sched.slice(i, i + 1)[0]
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            LambdaSchedule(kind="powr", q=0.1, nu=2.0, normalizer=0.06)
 
     def test_bad_slice_ranges(self):
         sched = make_power_schedule(2.0, 0.1)
