@@ -101,8 +101,12 @@ def _check_p_array(pvalues) -> np.ndarray:
     arr = np.asarray(pvalues, dtype=np.float64)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if not bool(np.all((arr >= 0.0) & (arr <= 1.0))):
-        raise ValueError("all P-values must lie in [0, 1] and be non-NaN")
+    ok = (arr >= 0.0) & (arr <= 1.0)  # False at NaN too
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(
+            f"P-values must lie in [0, 1]: position {k} (0-based) holds {float(arr[k])}"
+        )
     return arr
 
 
@@ -286,15 +290,18 @@ def bh_mask(pvalues, q: float) -> np.ndarray:
 
     With sorted P-values p_(1) <= ... <= p_(n), find the largest j with
     ``p_(j) <= q * j / n`` and reject everything at or below p_(j); ties
-    at the threshold value are all included.
+    at the threshold value are all included. The thresholds rise with j
+    (in floats too), so a passing rank has ``p_(j) <= q * n / n``: only
+    the P-values up to that bound are sorted, and they are the first
+    ranks of the full order. (In floats ``q * n / n`` can exceed q.)
     """
     q = _check_q(q)
     p = _check_p_array(pvalues)
     n = p.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    sorted_p = np.sort(p)
-    passed = sorted_p <= q * np.arange(1, n + 1, dtype=np.float64) / n
+    sorted_p = np.sort(p[p <= q * n / n])
+    passed = sorted_p <= q * np.arange(1, sorted_p.size + 1, dtype=np.float64) / n
     if not passed.any():
         return np.zeros(n, dtype=bool)
     cutoff = sorted_p[int(np.flatnonzero(passed)[-1])]

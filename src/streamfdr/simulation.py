@@ -4,8 +4,9 @@ Datasets follow the sparse mixture parameterized by (beta, r, gamma):
 ``epsilon = n**-beta`` of the statistics (exactly ``round(n**(1-beta))``
 of them, at uniformly random positions) are shifted right by
 ``mu = (gamma * r * log n)**(1/gamma)``; the rest are null draws.
-P-values are computed from the statistics, so in a given cell the same
-dataset serves every procedure (paired comparison).
+P-values are computed from the statistics. Each (cell, replicate)
+dataset is generated once, with its P-values and signal mask, and every
+procedure of the cell decides on it (paired comparison).
 
 Replicates are seeded by (seed, cell parameters, replicate), so cells
 are independent of one another and of execution order, and any subset
@@ -162,31 +163,43 @@ def _rejections(procedure: str, pvals: np.ndarray, config: MixtureConfig,
     return lond_levels(pvals, schedule)[1]
 
 
+def _cell_records(config: MixtureConfig, procedures) -> list[list[MetricsRecord]]:
+    """One record list per entry of ``procedures``, in order, for one cell.
+
+    Each replicate's dataset, P-values and signal mask are built once and
+    every procedure decides on them.
+    """
+    schedule = config.make_schedule() if any(proc != "bh" for proc in procedures) else None
+    records = [[] for _ in procedures]
+    for rep in range(config.reps):
+        dataset = make_mixture(config, rep)
+        pvals = pvalue(config.kernel, dataset.statistics)
+        signal = dataset.truth.signal_mask()
+        for proc, out in zip(procedures, records):
+            rejected = _rejections(proc, pvals, config, schedule)
+            f, g = fdp_fnp_from_mask(rejected, signal)
+            out.append(
+                MetricsRecord(
+                    n=config.n,
+                    fdp=f,
+                    fnp=g,
+                    rejections=int(rejected.sum()),
+                    replicate_id=rep,
+                )
+            )
+    return records
+
+
 def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
     """All replicates of one (config, procedure) cell, one record each.
 
     The streaming rules consume P-values in index order 1..n; the static
-    baseline sees the whole vector at once.
+    baseline sees the whole vector at once. Each replicate is generated
+    once here; ``run_grid`` generates it once for all procedures of a cell.
     """
     if procedure not in PROCEDURES:
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
-    schedule = config.make_schedule() if procedure != "bh" else None
-    records = []
-    for rep in range(config.reps):
-        dataset = make_mixture(config, rep)
-        pvals = pvalue(config.kernel, dataset.statistics)
-        rejected = _rejections(procedure, pvals, config, schedule)
-        f, g = fdp_fnp_from_mask(rejected, dataset.truth.signal_mask())
-        records.append(
-            MetricsRecord(
-                n=config.n,
-                fdp=f,
-                fnp=g,
-                rejections=int(rejected.sum()),
-                replicate_id=rep,
-            )
-        )
-    return records
+    return _cell_records(config, (procedure,))[0]
 
 
 def _row(config: MixtureConfig, procedure: str, record: MetricsRecord) -> dict:
@@ -210,7 +223,9 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
 
     Cells are enumerated in deterministic order (n outer, r inner,
     procedure innermost) and seeded independently, so a rerun of any
-    subset reproduces the same rows.
+    subset reproduces the same rows. Each replicate is generated once per
+    cell and decided by every procedure, so the rows equal those of
+    ``run_cell`` per procedure plus ``pool``.
     """
     r_values = list(r_values)
     n_values = list(n_values)
@@ -220,8 +235,7 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     for n in n_values:
         for r in r_values:
             cell = replace(base, n=int(n), r=float(r))
-            for procedure in cell.procedures:
-                records = run_cell(cell, procedure)
+            for procedure, records in zip(cell.procedures, _cell_records(cell, cell.procedures)):
                 rows.extend(_row(cell, procedure, rec) for rec in records)
                 rows.append(_row(cell, procedure, pool(records)))
     return rows

@@ -83,6 +83,38 @@ def brute_force_bh(pvalues, q):
     return {i + 1 for i, p in enumerate(pvalues) if p <= cutoff}
 
 
+@st.composite
+def bh_inputs(draw):
+    """(P-values, q) drawing often from the step-up thresholds q * j / n and q itself."""
+    q = draw(st.sampled_from([0.05, 0.1, 0.25, 1 / 3]))
+    n = draw(st.integers(min_value=0, max_value=20))
+    edges = [q * j / n for j in range(1, n + 1)] + [q, math.nextafter(q, 1.0), 0.0, 1.0]
+    value = st.one_of(st.sampled_from(edges), st.floats(min_value=0.0, max_value=1.0))
+    return draw(st.lists(value, min_size=n, max_size=n)), q
+
+
+class TestPValueErrors:
+    @pytest.mark.parametrize(
+        "pvals, where",
+        [
+            ([0.1, 0.2, 0.3, math.nan, 0.4], r"position 3 \(0-based\) holds nan"),
+            ([-0.25, 0.2], r"position 0 \(0-based\) holds -0\.25"),
+            ([0.5, 0.5, 0.5, 0.5, 1.5], r"position 4 \(0-based\) holds 1\.5"),
+            ([0.5, 2.0, math.nan], r"position 1 \(0-based\) holds 2\.0"),  # first one named
+        ],
+    )
+    def test_first_offending_position_named(self, pvals, where):
+        sched = make_power_schedule(1.05, 0.1)
+        for call in (
+            lambda: lord_levels(pvals, sched),
+            lambda: lond_levels(pvals, sched),
+            lambda: run_stream("lord", sched, pvals),
+            lambda: bh_mask(pvals, 0.1),
+        ):
+            with pytest.raises(ValueError, match=where):
+                call()
+
+
 class TestLordRule:
     def test_first_step_uses_first_budget_value(self):
         sched = GeometricSchedule()
@@ -395,6 +427,36 @@ class TestBH:
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, pvals):
         assert bh_reject(pvals, 0.1) == brute_force_bh(pvals, 0.1)
+
+    def test_candidate_edges(self):
+        # Only the candidates are sorted; the cutoff must not move at their edges.
+        q = 0.1
+        assert bh_reject([q], q) == {1}  # n = 1, p == q
+        assert bh_reject([0.5], q) == set()  # n = 1, p > q
+        assert bh_reject([q, q, q], q) == {1, 2, 3}  # p == q at the last rank
+        assert bh_reject([q, 0.5, 0.7], q) == set()  # p == q, but rank 1 needs q / 3
+        assert bh_reject([0.2, 0.5, 0.11], q) == set()  # all p > q
+        exact = [q * 2 / 4, q * 2 / 4, 0.9, q]  # tied at the cutoff, p_(2) == q * 2 / n exactly
+        assert bh_reject(exact, q) == {1, 2}
+        assert bh_reject(exact, q) == brute_force_bh(exact, q)
+        assert bh_mask([], q).shape == (0,)
+        # In floats q * n / n can exceed q: 0.05 * 6 / 6 > 0.05, and a P-value
+        # between them still passes at the last rank.
+        top = 0.05 * 6 / 6
+        assert top > 0.05
+        assert bh_reject([0.05 / 6] * 5 + [top], 0.05) == set(range(1, 7))
+
+    @given(bh_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force_at_thresholds(self, case):
+        pvals, q = case
+        assert bh_reject(pvals, q) == brute_force_bh(pvals, q)
+
+    def test_matches_brute_force_on_mixture(self):
+        rng = np.random.default_rng(8)
+        for scale in (1.0, 1e-3):  # few candidates, then almost all
+            pvals = (rng.random(3000) * scale).tolist()
+            assert bh_reject(pvals, 0.1) == brute_force_bh(pvals, 0.1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

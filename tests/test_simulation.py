@@ -1,11 +1,13 @@
 """Mixture generation and experiment grid tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from streamfdr import simulation
 from streamfdr import (
     GGKernel,
     MixtureConfig,
@@ -226,3 +228,78 @@ class TestRunGrid:
         write_csv(rows, path)
         header = path.read_text().splitlines()[0]
         assert header == "replicate,n_eval,procedure,beta,r,gamma,q,fdp,fnp,rejections"
+
+
+class TestOneGenerationPerReplicate:
+    """The grid generates each (cell, replicate) once and decides every procedure on it."""
+
+    @staticmethod
+    def per_procedure_rows(base, r_values, n_values):
+        # The per-procedure path: one run_cell per procedure, then its pooled row.
+        rows = []
+        for n in n_values:
+            for r in r_values:
+                cell = replace(base, n=n, r=r)
+                for proc in cell.procedures:
+                    records = run_cell(cell, proc)
+                    rows.extend(simulation._row(cell, proc, rec) for rec in records)
+                    rows.append(simulation._row(cell, proc, pool(records)))
+        return rows
+
+    def test_grid_rows_equal_per_procedure_path(self):
+        base = small_config(
+            beta=0.4,
+            reps=3,
+            q_rule="inverse-log",
+            schedule="adaptive",
+            procedures=("lord", "lond", "lord", "bh"),
+        )
+        args = ([0.5, 1.1], [1000, 3000])
+        rows = run_grid(base, *args)
+        expected = self.per_procedure_rows(base, *args)
+        assert len(rows) == len(expected) == 2 * 2 * 4 * (3 + 1)
+        for row, want in zip(rows, expected):
+            assert list(row) == list(want)
+            for key in want:
+                assert type(row[key]) is type(want[key]), key
+                assert row[key] == want[key], key
+        # The repeated "lord" entry (first and third of four) repeats its rows in every cell.
+        for cell in range(0, len(rows), 16):
+            assert rows[cell : cell + 4] == rows[cell + 8 : cell + 12]
+
+    @pytest.mark.parametrize("procedure", ["bh", "lord"])
+    def test_single_procedure_csv_bytes(self, procedure, tmp_path):
+        mixed = small_config(reps=4, procedures=("lond", "bh", "lord"))
+        alone = replace(mixed, procedures=(procedure,))
+        expected = self.per_procedure_rows(alone, [mixed.r], [mixed.n])
+        from_mixed = [
+            row for row in run_grid(mixed, [mixed.r], [mixed.n]) if row["procedure"] == procedure
+        ]
+        paths = [tmp_path / name for name in ("alone.csv", "expected.csv", "mixed.csv")]
+        outputs = (run_grid(alone, [alone.r], [alone.n]), expected, from_mixed)
+        for path, rows in zip(paths, outputs):
+            write_csv(rows, path)
+        data = [path.read_bytes() for path in paths]
+        assert data[0] == data[1] == data[2]
+        assert data[0].count(b"\n") == 1 + 4 + 1
+
+    @pytest.mark.parametrize(
+        "procedures", [("bh",), ("lord", "lond", "bh"), ("lord", "lord", "bh", "lond")]
+    )
+    def test_one_generation_per_replicate(self, procedures, monkeypatch):
+        calls = {"make_mixture": 0, "pvalue": 0}
+
+        def counted(name):
+            original = getattr(simulation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulation, name, counted(name))
+        cfg = small_config(n=500, reps=3, procedures=procedures)
+        run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500])
+        assert calls == {"make_mixture": 2 * 2 * 3, "pvalue": 2 * 2 * 3}
