@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from .engines import LondState, LordState, lond_step, lord_step
@@ -186,15 +185,12 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     discoveries = 0
     for line in stdin:
         count += 1
-        text = line.strip()
         try:
-            p = float(text)
+            # float() rejects unparseable text, the step a P-value outside [0, 1].
+            decision = step(state, schedule, float(line))
         except ValueError:
-            p = math.nan
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
             print(f"# error line {count}", file=stderr)
             return EXIT_STREAM
-        decision = step(state, schedule, p)
         verdict = "REJECT" if decision.rejected else "ACCEPT"
         stdout.write(f"{decision.index} {decision.alpha!r} {decision.p!r} {verdict}\n")
         stdout.flush()

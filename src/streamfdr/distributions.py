@@ -3,8 +3,11 @@
 Survival, quantile and sampling routines for the symmetric family with
 density proportional to ``exp(-|x/scale|^gamma / gamma)``, gamma >= 1.
 gamma = 2 is the standard normal law, gamma = 1 the double exponential.
-Also provides the P-value CDFs of location-shift alternatives, used as
-diagnostics and test oracles by the simulation layer.
+The right tail is ``0.5 * Q(1/gamma, |x/scale|^gamma / gamma)`` with Q
+the regularized upper incomplete gamma, so the quantile is its closed-form
+inverse through ``gammainccinv``. Also provides the P-value CDFs of
+location-shift alternatives, used as diagnostics and test oracles by the
+simulation layer. Survival, quantile and CDFs take scalars or arrays.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ class AltPValueCDF:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
 
 
+def _like(out: np.ndarray, x):
+    """``out`` as a float when the input ``x`` was a scalar."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def _as_finite_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -86,10 +94,7 @@ def gg_survival(kernel: GGKernel, x):
         tail = 0.5 * np.exp(-az)
     else:
         tail = 0.5 * special.gammaincc(1.0 / g, az**g / g)
-    out = np.where(arr < 0.0, 1.0 - tail, tail)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like(np.where(arr < 0.0, 1.0 - tail, tail), x)
 
 
 def pvalue(kernel: GGKernel, x):
@@ -100,36 +105,22 @@ def pvalue(kernel: GGKernel, x):
     return gg_survival(kernel, x)
 
 
-def gg_quantile(kernel: GGKernel, p: float) -> float:
+def gg_quantile(kernel: GGKernel, p):
     """Inverse survival: the x with ``gg_survival(kernel, x) == p``.
 
-    Bracketed bisection on the strictly decreasing survival function,
-    run to a bracket width of 1e-14 (200 iteration cap). Only scalar
-    probabilities in the open interval (0, 1) are accepted.
+    Closed form: for p <= 1/2, ``x = scale * (gamma * y)**(1/gamma)`` with
+    ``y = gammainccinv(1/gamma, 2p)``; p > 1/2 reflects to ``-x(1 - p)``.
+    Accepts scalars or arrays of probabilities in the open interval (0, 1).
     """
-    p = float(p)
-    if math.isnan(p) or not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        # 1 - p is exact for p in [0.5, 1], so the reflection is lossless.
-        return -gg_quantile(kernel, 1.0 - p)
-    lo = 0.0
-    hi = kernel.scale
-    while gg_survival(kernel, hi) > p:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gg_survival(kernel, mid) > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
-    return 0.5 * (lo + hi)
+    arr = np.asarray(p, dtype=np.float64)
+    ok = (arr > 0.0) & (arr < 1.0)  # False at NaN too
+    if not ok.all():
+        raise ValueError(f"p must lie in (0, 1), got {arr[~ok][0]}")
+    g = kernel.gamma
+    # 1 - p is exact for p in [0.5, 1], so the reflection is lossless.
+    y = special.gammainccinv(1.0 / g, 2.0 * np.minimum(arr, 1.0 - arr))
+    x = kernel.scale * (g * y) ** (1.0 / g)
+    return _like(np.where(arr > 0.5, -x, x), p)
 
 
 def gg_sample(kernel: GGKernel, rng: np.random.Generator, size=None):
@@ -152,32 +143,32 @@ def gg_sample(kernel: GGKernel, rng: np.random.Generator, size=None):
     return kernel.scale * draw
 
 
-def alt_pvalue_cdf(alt: AltPValueCDF, t: float) -> float:
+def alt_pvalue_cdf(alt: AltPValueCDF, t):
     """CDF at ``t`` of the P-value of a statistic shifted by ``alt.mu``.
 
     Equals the null CDF evaluated at ``mu - xi`` where ``xi`` is the null
     value whose survival probability is ``t``; in particular it crosses
-    1/2 exactly at t = survival(mu).
+    1/2 exactly at t = survival(mu). Accepts scalars or arrays in [0, 1];
+    the endpoints map to themselves.
     """
-    t = float(t)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
-    xi = gg_quantile(alt.kernel, t)
-    return 1.0 - gg_survival(alt.kernel, alt.mu - xi)
+    arr = np.asarray(t, dtype=np.float64)
+    ok = (arr >= 0.0) & (arr <= 1.0)  # False at NaN too
+    if not ok.all():
+        raise ValueError(f"t must lie in [0, 1], got {arr[~ok][0]}")
+    inner = (arr > 0.0) & (arr < 1.0)
+    xi = gg_quantile(alt.kernel, np.where(inner, arr, 0.5))
+    return _like(np.where(inner, 1.0 - gg_survival(alt.kernel, alt.mu - xi), arr), t)
 
 
-def mixture_pvalue_cdf(alt: AltPValueCDF, epsilon: float, t: float) -> float:
+def mixture_pvalue_cdf(alt: AltPValueCDF, epsilon: float, t):
     """CDF at ``t`` of a P-value from the sparse mixture.
 
     A fraction ``epsilon`` of statistics carries the shift, the rest are
     null, so the P-value CDF is ``(1 - epsilon) * t`` plus ``epsilon``
-    times the alternative's P-value CDF.
+    times the alternative's P-value CDF. Accepts scalars or arrays of t.
     """
     epsilon = float(epsilon)
     if math.isnan(epsilon) or not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    return (1.0 - epsilon) * float(t) + epsilon * alt_pvalue_cdf(alt, t)
+    cdf = alt_pvalue_cdf(alt, t)  # validates t
+    return _like((1.0 - epsilon) * np.asarray(t, dtype=np.float64) + epsilon * cdf, t)

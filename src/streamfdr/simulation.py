@@ -60,10 +60,12 @@ class MixtureConfig:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if math.isnan(self.beta) or not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if math.isnan(self.r) or self.r < 0.0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if math.isnan(self.gamma) or self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if not (math.isfinite(self.r) and self.r >= 0.0):
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite: gamma {self.gamma} and r {self.r} overflow it")
         if self.q_rule not in ("fixed", "inverse-log"):
             raise ValueError(f"q_rule must be 'fixed' or 'inverse-log', got {self.q_rule!r}")
         if self.q_rule == "fixed":
@@ -116,12 +118,10 @@ class MixtureConfig:
 
 @dataclass(frozen=True)
 class MixtureDataset:
-    """One replicate: raw statistics, ground truth and realized parameters."""
+    """One replicate: raw statistics and ground truth."""
 
     statistics: np.ndarray = field(repr=False)
     truth: TruthLabels
-    mu: float
-    epsilon: float
 
 
 def _replicate_rng(config: MixtureConfig, replicate: int) -> np.random.Generator:
@@ -150,8 +150,7 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
     stats = gg_sample(config.kernel, rng, config.n)
     positions = rng.choice(config.n, size=m, replace=False)
     stats[positions] += config.mu
-    truth = TruthLabels(config.n, frozenset(int(k) + 1 for k in positions))
-    return MixtureDataset(statistics=stats, truth=truth, mu=config.mu, epsilon=config.epsilon)
+    return MixtureDataset(statistics=stats, truth=TruthLabels(config.n, positions + 1))
 
 
 def _rejections(procedure: str, pvals: np.ndarray, config: MixtureConfig,

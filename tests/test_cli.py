@@ -75,6 +75,21 @@ class TestParseConfig:
         assert err.value.key == "beta"
         assert "(0, 1)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [("gamma = 2", "gamma = inf", "gamma"), ("r = 0.8", "r = inf", "r"),
+         ("gamma = 2", "gamma = 1e308", "gamma")],  # the last overflows the shift mu
+    )
+    def test_non_finite_model_values_exit_2_naming_the_key(self, old, new, key, tmp_path, capsys):
+        text = GOOD_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.key == key
+        config = tmp_path / "exp.cfg"
+        config.write_text(text)
+        assert cmd_simulate(str(config), str(tmp_path / "out.csv")) == EXIT_CONFIG
+        assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_unparseable_value(self):
         with pytest.raises(ConfigError) as err:
             parse_config(GOOD_CONFIG.replace("reps = 3", "reps = many"))

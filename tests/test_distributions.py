@@ -186,6 +186,33 @@ class TestQuantile:
         k = GGKernel(g)
         assert abs(gg_survival(k, gg_quantile(k, p)) - p) <= 1e-10
 
+    def test_closed_form_against_exact_inverses(self):
+        # gamma = 1: x = -log(2p); gamma = 2: scipy's inverse normal survival.
+        ps = np.concatenate([10.0 ** -np.arange(300, 0, -1.0), np.linspace(0.01, 0.49, 49)])
+        for g, exact in ((1.0, -np.log(2.0 * ps)), (2.0, stats.norm.isf(ps))):
+            x = gg_quantile(GGKernel(g), ps)
+            assert np.max(np.abs(x / exact - 1.0)) <= 1e-13
+
+    def test_relative_roundtrip_deep_tail(self):
+        # Relative error of the survival grows with its condition number
+        # x**gamma ~ gamma * log(1/p) < 5e3 here, so 1e-10 leaves wide room.
+        ps = 10.0 ** -np.arange(300, 0, -1.0)
+        for g in GAMMAS + [7.0]:
+            for scale in (0.3, 1.0, 5.0):
+                k = GGKernel(g, scale)
+                assert np.max(np.abs(gg_survival(k, gg_quantile(k, ps)) / ps - 1.0)) <= 1e-10
+
+    def test_array_matches_scalar_calls(self):
+        k = GGKernel(1.5, 2.0)
+        ps = np.array(P_GRID)
+        xs = gg_quantile(k, ps)
+        assert isinstance(xs, np.ndarray)
+        # numpy's vectorized power may differ from the scalar one in the last bit.
+        np.testing.assert_array_max_ulp(xs, [gg_quantile(k, p) for p in P_GRID], maxulp=2)
+        assert type(gg_quantile(k, 0.1)) is float
+        with pytest.raises(ValueError):
+            gg_quantile(k, [0.2, 1.0])
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):
@@ -271,6 +298,32 @@ class TestAltPValueCDF:
                 alt_pvalue_cdf(alt, t)
         with pytest.raises(ValueError):
             AltPValueCDF(GGKernel(2.0), 0.0)
+
+    def test_array_matches_scalar_calls(self):
+        alt = AltPValueCDF(GGKernel(1.5), 1.8)
+        ts = np.array([0.0, 1e-300, 1e-12, 0.05, 0.5, 0.9, 1 - 1e-12, 1.0])
+        # A last-bit difference in the quantile (vectorized against scalar
+        # power) is amplified by the tail's condition number, below 1e4 here.
+        got = alt_pvalue_cdf(alt, ts)
+        assert isinstance(got, np.ndarray)
+        scalars = [alt_pvalue_cdf(alt, float(t)) for t in ts]
+        np.testing.assert_allclose(got, scalars, rtol=1e-12, atol=0)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        mixed = mixture_pvalue_cdf(alt, 0.3, ts)
+        assert isinstance(mixed, np.ndarray)
+        np.testing.assert_allclose(
+            mixed, [mixture_pvalue_cdf(alt, 0.3, float(t)) for t in ts], rtol=1e-12, atol=0
+        )
+        assert type(alt_pvalue_cdf(alt, 0.05)) is float
+        assert type(mixture_pvalue_cdf(alt, 0.3, 0.05)) is float
+
+    def test_array_domain_errors(self):
+        alt = AltPValueCDF(GGKernel(2.0), 1.0)
+        for t in (-0.01, 1.01, float("nan")):
+            with pytest.raises(ValueError):
+                alt_pvalue_cdf(alt, [0.2, t])
+            with pytest.raises(ValueError):
+                mixture_pvalue_cdf(alt, 0.3, np.array([t, 0.2]))
 
     def test_mixture_cdf_blend(self):
         alt = AltPValueCDF(GGKernel(2.0), 2.0)

@@ -39,6 +39,30 @@ class TestTruthLabels:
     def test_empty_signals(self):
         assert not TruthLabels(4, frozenset()).signal_mask().any()
 
+    def test_set_list_and_array_agree(self):
+        forms = (frozenset({5, 2, 9}), [9, 2, 5], np.array([5, 9, 2]))
+        truths = [TruthLabels(10, form) for form in forms]
+        for truth in truths:
+            assert truth.false_null_indices.dtype == np.int64
+            assert truth.false_null_indices.tolist() == [2, 5, 9]
+            assert np.array_equal(truth.signal_mask(), truths[0].signal_mask())
+
+    def test_stored_indices_are_read_only(self):
+        truth = TruthLabels(5, np.array([2, 4]))
+        with pytest.raises(ValueError):
+            truth.false_null_indices[0] = 3
+
+    def test_array_duplicates_collapse(self):
+        truth = TruthLabels(6, np.array([4, 1, 4, 4, 1]))
+        assert truth.false_null_indices.tolist() == [1, 4]
+        assert truth.signal_mask().tolist() == [True, False, False, True, False, False]
+
+    @pytest.mark.parametrize("form", [frozenset, list, np.array])
+    @pytest.mark.parametrize("bad", [0, 7, 2.5, float("nan")])
+    def test_bad_index_rejected_for_each_form(self, form, bad):
+        with pytest.raises(ValueError):
+            TruthLabels(6, form([1, bad]))
+
 
 class TestFdpFnp:
     def test_no_rejections_is_zero(self):

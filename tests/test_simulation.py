@@ -94,13 +94,13 @@ class TestMakeMixture:
         a = make_mixture(cfg, 3)
         b = make_mixture(cfg, 3)
         assert np.array_equal(a.statistics, b.statistics)
-        assert a.truth.false_null_indices == b.truth.false_null_indices
+        assert np.array_equal(a.truth.false_null_indices, b.truth.false_null_indices)
 
     def test_replicates_differ(self):
         cfg = small_config()
         a = make_mixture(cfg, 0)
         b = make_mixture(cfg, 1)
-        assert a.truth.false_null_indices != b.truth.false_null_indices
+        assert not np.array_equal(a.truth.false_null_indices, b.truth.false_null_indices)
         assert not np.array_equal(a.statistics, b.statistics)
 
     def test_cells_with_same_seed_differ(self):
@@ -112,7 +112,10 @@ class TestMakeMixture:
         cfg = small_config(n=3000, beta=0.4, reps=5)
         m = cfg.signal_count
         for rep in range(5):
-            assert len(make_mixture(cfg, rep).truth.false_null_indices) == m
+            positions = make_mixture(cfg, rep).truth.false_null_indices
+            assert len(positions) == m
+            assert np.all(np.diff(positions) > 0)  # sorted and unique
+            assert 1 <= positions[0] and positions[-1] <= cfg.n
 
     def test_negative_replicate(self):
         with pytest.raises(ValueError):
@@ -126,7 +129,7 @@ class TestMakeMixture:
         for rep in range(cfg.reps):
             ds = make_mixture(cfg, rep)
             mask = ds.truth.signal_mask()
-            recentered.append(ds.statistics[mask] - ds.mu)
+            recentered.append(ds.statistics[mask] - cfg.mu)
         pooled = np.concatenate(recentered)
         dist = stats.kstest(1.0 - gg_survival(kernel, pooled), "uniform").statistic
         assert dist < stats.kstwobign.isf(0.01) / math.sqrt(pooled.size)
