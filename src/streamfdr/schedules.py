@@ -10,7 +10,10 @@ infinite sum equals the total FDR budget ``q``. Two kinds are provided:
 
 Values are materialized lazily in fixed-size chunks; scalar lookups and
 array slices read the same chunk arrays, so both return bit-identical
-floats no matter the access order.
+floats no matter the access order. Chunks starting at or below
+``_CACHE_LIMIT`` are kept; past it a schedule keeps only the chunk it
+built last (the far slot), so a stream reading indices in order builds
+each far chunk once and memory stays bounded however long it runs.
 """
 
 from __future__ import annotations
@@ -24,31 +27,16 @@ from scipy import special
 __all__ = ["LambdaSchedule", "make_power_schedule", "make_adaptive_schedule"]
 
 _CHUNK = 4096
-# Chunks are cached up to this index; beyond it they are recomputed per
-# request so unbounded streams cannot exhaust memory.
+# Chunks starting at or below this index are cached; beyond it only the
+# most recently built chunk is kept (one per schedule), so unbounded
+# streams cannot exhaust memory.
 _CACHE_LIMIT = 10**7
 
-_adaptive_norm_cache: float | None = None
-
-
-def _adaptive_norm() -> float:
-    """sum_{j>=2} 1/(j log^2 j), via 1e7 terms plus an Euler-Maclaurin tail.
-
-    The tail from index M is 1/log(M) + f(M)/2 - f'(M)/12 with
-    f(x) = 1/(x log^2 x); the neglected correction is O(M^-3), far inside
-    the 1e-9 normalization budget.
-    """
-    global _adaptive_norm_cache
-    if _adaptive_norm_cache is None:
-        n_terms = 10**7
-        j = np.arange(2, n_terms + 2, dtype=np.float64)
-        partial = float(np.sum(1.0 / (j * np.log(j) ** 2)))
-        m = float(n_terms + 2)
-        log_m = math.log(m)
-        f_m = 1.0 / (m * log_m**2)
-        fp_m = -(1.0 + 2.0 / log_m) / (m**2 * log_m**2)
-        _adaptive_norm_cache = partial + 1.0 / log_m + 0.5 * f_m - fp_m / 12.0
-    return _adaptive_norm_cache
+# sum_{j>=2} 1/(j log^2 j): the pairwise float sum of its first 1e7 terms
+# plus the Euler-Maclaurin tail 1/log(M) + f(M)/2 - f'(M)/12 from
+# M = 1e7 + 2, with f(x) = 1/(x log^2 x). Kept to the bit, since every
+# adaptive level is derived from it.
+_ADAPTIVE_NORM = 2.1097428012368904
 
 
 def _check_q(q: float) -> float:
@@ -64,7 +52,9 @@ class LambdaSchedule:
 
     ``normalizer`` is the constant L that makes the infinite sum equal
     ``q``. Instances are immutable apart from the internal chunk cache
-    and safe to share once constructed.
+    and the far slot, and safe to share once constructed: the slot holds a
+    ``(chunk number, values)`` pair replaced whole and read once, so no
+    reader pairs one chunk's number with another chunk's values.
     """
 
     kind: str
@@ -72,6 +62,7 @@ class LambdaSchedule:
     nu: float | None
     normalizer: float
     _chunks: dict = field(default_factory=dict, repr=False, compare=False)
+    _far: tuple = field(default=(-1, None), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "adaptive"):
@@ -81,6 +72,9 @@ class LambdaSchedule:
         cached = self._chunks.get(c)
         if cached is not None:
             return cached
+        far_c, far_values = self._far
+        if far_c == c:
+            return far_values
         start = c * _CHUNK + 1
         i = np.arange(start, start + _CHUNK, dtype=np.float64)
         if self.kind == "power":
@@ -89,6 +83,8 @@ class LambdaSchedule:
             values = self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2)
         if start <= _CACHE_LIMIT:
             self._chunks[c] = values
+        else:
+            self._far = (c, values)
         return values
 
     def lambda_at(self, i: int) -> float:
@@ -136,4 +132,4 @@ def make_adaptive_schedule(q: float) -> LambdaSchedule:
     when the right power exponent is unknown.
     """
     q = _check_q(q)
-    return LambdaSchedule(kind="adaptive", q=q, nu=None, normalizer=q / _adaptive_norm())
+    return LambdaSchedule(kind="adaptive", q=q, nu=None, normalizer=q / _ADAPTIVE_NORM)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from scipy import integrate, special
 
+from streamfdr import simulation
 from streamfdr import (
     GGKernel,
     MixtureConfig,
@@ -254,8 +255,9 @@ def test_criterion_7_varying_level():
             procedures=("lord", "lond"),
         )
         q_n = cfg.effective_q()
-        for proc in ("lord", "lond"):
-            pooled = pool(run_cell(cfg, proc))
+        # One generation per replicate, decided by both rules.
+        for proc, records in zip(("lord", "lond"), simulation._cell_records(cfg, ("lord", "lond"))):
+            pooled = pool(records)
             results[(proc, n)] = pooled
             if pooled.fdp > q_n:
                 ok = False

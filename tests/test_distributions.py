@@ -91,6 +91,22 @@ class TestSurvival:
         for x, v in zip(xs, out):
             assert gg_survival(k, float(x)) == v
 
+    @pytest.mark.parametrize("g", [1.0, 1.5, 2.0])
+    def test_reflection_bits_match_where_form(self, g):
+        # The left half is 1 - tail with tail the survival at |x| (never
+        # reflected), bit for bit, and -0.0 stays on the right half; a
+        # rewrite of the reflection must keep these bits.
+        k = GGKernel(g)
+        x = np.random.default_rng(5).standard_normal(2000) * 3.0
+        x[:4] = [0.0, -0.0, 1e-300, -1e-300]
+        tail = gg_survival(k, np.abs(x))
+        want = np.where(x < 0.0, 1.0 - tail, tail)
+        assert np.array_equal(gg_survival(k, x).view(np.uint64), want.view(np.uint64))
+        for i in range(8):
+            got = gg_survival(k, float(x[i]))
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == want[i].view(np.uint64)
+
     def test_extreme_tails_do_not_underflow(self):
         assert gg_survival(GGKernel(2.0), 10.0) > 0.0
         assert gg_survival(GGKernel(2.0), 30.0) > 0.0

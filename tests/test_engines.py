@@ -373,6 +373,66 @@ class TestSharedCore:
                 assert Counting.calls == 1
 
 
+def rederive_far(engine, p, start, far, head):
+    """Levels and rejections of a stream resumed at index ``start``, from the rule definitions.
+
+    ``far[k]`` is lambda_{start+k} and ``head[k]`` is lambda_{k+1}.
+    """
+    alphas, rejected = [], []
+    t = d = 0
+    for k, x in enumerate(p):
+        if engine == "lord":
+            a = far[k] if t == 0 else head[start + k - t - 1]
+        else:
+            a = min(1.0, far[k] * (d + 1))
+        alphas.append(a)
+        rejected.append(x <= a)
+        if x <= a:
+            t, d = start + k, d + 1
+    return alphas, rejected
+
+
+class TestFarIndices:
+    """Steps resumed deep in a stream, before and past the schedule cache limit."""
+
+    @pytest.mark.parametrize("start", [10**6, 2 * 10**7])
+    @pytest.mark.parametrize("kind", ["power", "adaptive"])
+    def test_step_fold_matches_rederivation(self, start, kind):
+        def make():
+            return make_power_schedule(1.05, 0.1) if kind == "power" else make_adaptive_schedule(0.1)
+
+        n, calm = 5000, 1500  # n crosses chunk seams from either start
+        # Each far value from a schedule that has read nothing else.
+        far = np.array([make().lambda_at(i) for i in range(start, start + n)])
+        head = make().prefix(n)
+        rng = np.random.default_rng(start % 997)
+        p = rng.random(n)
+        # The calm stretch only accepts, some values one ulp above the level,
+        # so lord reads lambda_i at the far indices throughout; an exact tie
+        # then makes the first discovery.
+        above = np.flatnonzero(rng.random(calm) < 0.3)
+        p[above] = np.nextafter(far[above], 1.0)
+        p[calm] = far[calm]
+        rest = np.arange(calm + 1, n)
+        pick = rng.integers(0, 6, rest.size)
+        p[rest[pick == 0]] = 0.0
+        p[rest[pick == 1]] = 1.0
+        ties = rest[pick == 2]  # with lond levels at small discovery counts
+        p[ties] = far[ties] * rng.integers(1, 4, ties.size)
+        p[rest[pick == 3]] = head[rng.integers(0, 40, (pick == 3).sum())]  # with lord levels
+        for engine, step, state in (
+            ("lord", lord_step, LordState(next_index=start)),
+            ("lond", lond_step, LondState(next_index=start)),
+        ):
+            sched = make()
+            decisions = [step(state, sched, x) for x in p]
+            want_alpha, want_rejected = rederive_far(engine, p, start, far, head)
+            assert [d.index for d in decisions] == list(range(start, start + n))
+            assert [d.alpha for d in decisions] == want_alpha, engine
+            assert [d.rejected for d in decisions] == want_rejected, engine
+            assert not any(want_rejected[:calm]) and want_rejected[calm], engine
+
+
 class TestScaleInvariance:
     def test_power_of_two_rescaling_is_bit_identical(self):
         rng = np.random.default_rng(3)

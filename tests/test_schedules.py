@@ -1,13 +1,23 @@
 """Budget schedule tests: normalization against partial-sum oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfdr import LambdaSchedule, make_adaptive_schedule, make_power_schedule
+from streamfdr import LambdaSchedule, make_adaptive_schedule, make_power_schedule, schedules
+
+CHUNK = schedules._CHUNK
+LAST_CACHED = (schedules._CACHE_LIMIT - 1) // CHUNK  # last chunk starting at or below the limit
+FIRST_FAR = LAST_CACHED + 1
+MAKERS = {
+    "power": lambda: make_power_schedule(1.05, 0.1),
+    "adaptive": lambda: make_adaptive_schedule(0.1),
+}
 
 
 def zeta_bracket(nu, n_terms=10**7):
@@ -197,3 +207,92 @@ class TestLambdaAccess:
         assert np.all(head > 0)
         assert np.all(np.diff(head) <= 0)
         assert float(head.sum()) < q
+
+
+class TestFarPath:
+    """Chunks past the cache limit: only the last one built is kept."""
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_far_reads_agree_bitwise(self, kind):
+        sched = MAKERS[kind]()
+        for c in (LAST_CACHED, FIRST_FAR, (2 * 10**7 - 1) // CHUNK):
+            lo = c * CHUNK + 1
+            window = sched.slice(lo - 2, lo + CHUNK + 2)  # both seams of chunk c
+            for i in (lo - 2, lo - 1, lo, lo + CHUNK // 2, lo + CHUNK - 1, lo + CHUNK, lo + CHUNK + 1):
+                assert sched.lambda_at(i) == window[i - lo + 2] == MAKERS[kind]().lambda_at(i), (kind, i)
+        i = 2 * 10**7
+        assert sched.lambda_at(i) == MAKERS[kind]().slice(i, i + 1)[0] == MAKERS[kind]().lambda_at(i)
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_far_chunks_are_not_cached(self, kind):
+        sched = MAKERS[kind]()
+        sched.lambda_at(10**7)
+        for i in (10**7 + 1, (FIRST_FAR + 1) * CHUNK, 2 * 10**7, 10**9):
+            sched.lambda_at(i)
+        sched.slice(2 * 10**7, 2 * 10**7 + 3 * CHUNK)
+        assert max(sched._chunks) == LAST_CACHED
+
+    def test_sequential_far_read_builds_each_chunk_once(self, monkeypatch):
+        sched = make_power_schedule(1.05, 0.1)
+        builds = []
+        arange = np.arange
+
+        def counting_arange(start, *args, **kwargs):
+            builds.append(start)
+            return arange(start, *args, **kwargs)
+
+        monkeypatch.setattr(schedules.np, "arange", counting_arange)
+        lo = FIRST_FAR * CHUNK + 1
+        for i in range(lo, lo + 3 * CHUNK):
+            sched.lambda_at(i)
+        assert builds == [lo, lo + CHUNK, lo + 2 * CHUNK]
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_threads_share_the_far_slot(self, kind):
+        # Readers of different far chunks (more of them than cores) replace
+        # each other's slot entry over and over; each must still read its
+        # own chunk's values.
+        sched = MAKERS[kind]()
+        starts = tuple(FIRST_FAR * CHUNK + 1 + k * 1000 * CHUNK for k in range(4))
+        offsets = (0, 1, CHUNK // 2, CHUNK - 1)
+        want = {lo: [MAKERS[kind]().lambda_at(lo + k) for k in offsets] for lo in starts}
+        barrier = threading.Barrier(len(starts))
+        wrong = []
+
+        def read(lo):
+            barrier.wait()
+            for _ in range(300):
+                got = [sched.lambda_at(lo + k) for k in offsets]
+                if got != want[lo]:
+                    wrong.append((lo, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(lo,)) for lo in starts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_adaptive_normalizer_literal(self):
+        # sum_{j>=2} f(j), f(x) = 1/(x log^2 x): math.fsum of the first 1e4
+        # terms plus the Euler-Maclaurin tail from M = 10002 through f''',
+        #   1/log M + f(M)/2 - f'(M)/12 + f'''(M)/720.
+        # The first neglected term, f^(5)(M)/30240, is below 1e-25 and the
+        # rounding of the terms adds under 1e-15, so this evaluation is good
+        # to a few ulp. Bound: the literal (a pairwise float sum of 1e7
+        # terms) lies within 1e-14 relative of it.
+        m = 10**4 + 2
+        u = math.log(m)
+        partial = math.fsum(1.0 / (j * math.log(j) ** 2) for j in range(2, m))
+        f = 1.0 / (m * u**2)
+        f1 = -(1.0 / u**2 + 2.0 / u**3) / m**2
+        f3 = -(6.0 / u**2 + 22.0 / u**3 + 36.0 / u**4 + 24.0 / u**5) / m**4
+        independent = partial + 1.0 / u + f / 2.0 - f1 / 12.0 + f3 / 720.0
+        assert abs(schedules._ADAPTIVE_NORM - independent) <= 1e-14 * independent
+        assert make_adaptive_schedule(0.1).normalizer == 0.1 / schedules._ADAPTIVE_NORM
