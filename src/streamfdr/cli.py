@@ -15,7 +15,7 @@ import sys
 
 from .engines import LondState, LordState, lond_step, lord_step
 from .schedules import LambdaSchedule, make_adaptive_schedule, make_power_schedule
-from .simulation import MixtureConfig, run_grid, write_csv
+from .simulation import FieldError, MixtureConfig, run_grid, write_csv
 
 __all__ = ["main", "entry", "cmd_simulate", "cmd_stream", "cmd_schedule", "parse_config"]
 
@@ -102,20 +102,9 @@ def parse_config(text: str):
         for n in n_values:
             for r in r_values:
                 MixtureConfig(**{**raw, "n": int(n), "r": float(r)})
-    except ValueError as exc:
-        message = str(exc)
-        key = _guess_key(message)
-        raise ConfigError(key, message) from None
+    except FieldError as exc:
+        raise ConfigError(exc.field, str(exc)) from None
     return base, r_values, n_values
-
-
-def _guess_key(message: str) -> str:
-    words = message.replace(":", " ").replace("'", " ").replace(",", " ").split()
-    keys = sorted(list(_SCALAR_KEYS) + list(_LIST_KEYS), key=len, reverse=True)
-    for key in keys:
-        if message.startswith(key + " ") or key in words:
-            return key
-    return "config"
 
 
 def _make_schedule_from_flags(q: float, nu, adaptive: bool) -> LambdaSchedule:

@@ -8,6 +8,10 @@ the regularized upper incomplete gamma, so the quantile is its closed-form
 inverse through ``gammainccinv``. Also provides the P-value CDFs of
 location-shift alternatives, used as diagnostics and test oracles by the
 simulation layer. Survival, quantile and CDFs take scalars or arrays.
+
+``scipy.special`` is imported by the functions that evaluate it (survival
+for gamma != 1, so ``pvalue``, and the quantile), on first use rather than
+at import, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "GGKernel",
@@ -89,10 +92,14 @@ def gg_survival(kernel: GGKernel, x):
     az = np.abs(arr / kernel.scale)
     g = kernel.gamma
     if g == 2.0:
+        from scipy import special
+
         tail = 0.5 * special.erfc(az / _SQRT2)
     elif g == 1.0:
         tail = 0.5 * np.exp(-az)
     else:
+        from scipy import special
+
         tail = 0.5 * special.gammaincc(1.0 / g, az**g / g)
     return _like(np.where(arr < 0.0, 1.0 - tail, tail), x)
 
@@ -117,6 +124,8 @@ def gg_quantile(kernel: GGKernel, p):
     if not ok.all():
         raise ValueError(f"p must lie in (0, 1), got {arr[~ok][0]}")
     g = kernel.gamma
+    from scipy import special
+
     # 1 - p is exact for p in [0.5, 1], so the reflection is lossless.
     y = special.gammainccinv(1.0 / g, 2.0 * np.minimum(arr, 1.0 - arr))
     x = kernel.scale * (g * y) ** (1.0 / g)

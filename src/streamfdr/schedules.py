@@ -14,6 +14,10 @@ floats no matter the access order. Chunks starting at or below
 ``_CACHE_LIMIT`` are kept; past it a schedule keeps only the chunk it
 built last (the far slot), so a stream reading indices in order builds
 each far chunk once and memory stays bounded however long it runs.
+
+Only ``make_power_schedule`` needs scipy (for ``zeta``), and it imports
+``scipy.special`` on its first call; adaptive schedules never load scipy,
+which keeps the cold start of ``streamfdr stream --adaptive`` short.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 __all__ = ["LambdaSchedule", "make_power_schedule", "make_adaptive_schedule"]
 
@@ -121,6 +124,8 @@ def make_power_schedule(nu: float, q: float) -> LambdaSchedule:
     if math.isnan(nu) or nu <= 1.0:
         raise ValueError(f"nu must exceed 1 (the series diverges otherwise), got {nu}")
     q = _check_q(q)
+    from scipy import special
+
     return LambdaSchedule(kind="power", q=q, nu=nu, normalizer=q / float(special.zeta(nu)))
 
 

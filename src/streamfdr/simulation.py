@@ -28,6 +28,7 @@ from .schedules import LambdaSchedule, make_adaptive_schedule, make_power_schedu
 
 __all__ = [
     "PROCEDURES",
+    "FieldError",
     "MixtureConfig",
     "MixtureDataset",
     "make_mixture",
@@ -37,6 +38,14 @@ __all__ = [
 ]
 
 PROCEDURES = ("lord", "lond", "bh")
+
+
+class FieldError(ValueError):
+    """An invalid ``MixtureConfig`` value; ``field`` names the field at fault."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(message)
+        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -57,33 +66,47 @@ class MixtureConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+            raise FieldError("n", f"n must be a positive integer, got {self.n}")
         if math.isnan(self.beta) or not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+            raise FieldError("beta", f"beta must lie in (0, 1), got {self.beta}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"r must be finite and >= 0, got {self.r}")
+            raise FieldError("r", f"r must be finite and >= 0, got {self.r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+            raise FieldError("gamma", f"gamma must be finite and >= 1, got {self.gamma}")
         if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite: gamma {self.gamma} and r {self.r} overflow it")
+            # The larger of the two is the absurd value.
+            raise FieldError(
+                "r" if self.r > self.gamma else "gamma",
+                f"mu must be finite: gamma {self.gamma} and r {self.r} overflow it",
+            )
         if self.q_rule not in ("fixed", "inverse-log"):
-            raise ValueError(f"q_rule must be 'fixed' or 'inverse-log', got {self.q_rule!r}")
+            raise FieldError(
+                "q_rule", f"q_rule must be 'fixed' or 'inverse-log', got {self.q_rule!r}"
+            )
         if self.q_rule == "fixed":
             if math.isnan(self.q) or not 0.0 < self.q < 1.0:
-                raise ValueError(f"q must lie in (0, 1), got {self.q}")
+                raise FieldError("q", f"q must lie in (0, 1), got {self.q}")
         elif self.n < 3:
-            raise ValueError(f"the inverse-log rule needs n >= 3 so q < 1, got n = {self.n}")
+            raise FieldError("n", f"the inverse-log rule needs n >= 3 so q < 1, got n = {self.n}")
+        if self.seed < 0:
+            raise FieldError("seed", f"seed must be >= 0, got {self.seed}")
         if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+            raise FieldError("reps", f"reps must be >= 1, got {self.reps}")
         if not self.procedures:
-            raise ValueError("procedures must be a non-empty subset of " + repr(PROCEDURES))
+            raise FieldError(
+                "procedures", "procedures must be a non-empty subset of " + repr(PROCEDURES)
+            )
         for proc in self.procedures:
             if proc not in PROCEDURES:
-                raise ValueError(f"procedures: unknown entry {proc!r}; choose from {PROCEDURES}")
+                raise FieldError(
+                    "procedures", f"procedures: unknown entry {proc!r}; choose from {PROCEDURES}"
+                )
         if self.schedule not in ("power", "adaptive"):
-            raise ValueError(f"schedule must be 'power' or 'adaptive', got {self.schedule!r}")
+            raise FieldError(
+                "schedule", f"schedule must be 'power' or 'adaptive', got {self.schedule!r}"
+            )
         if self.schedule == "power" and (math.isnan(self.nu) or self.nu <= 1.0):
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
+            raise FieldError("nu", f"nu must exceed 1, got {self.nu}")
 
     @property
     def epsilon(self) -> float:
@@ -162,13 +185,17 @@ def _rejections(procedure: str, pvals: np.ndarray, config: MixtureConfig,
     return lond_levels(pvals, schedule)[1]
 
 
-def _cell_records(config: MixtureConfig, procedures) -> list[list[MetricsRecord]]:
+def _cell_records(config: MixtureConfig, procedures,
+                  schedule: LambdaSchedule | None = None) -> list[list[MetricsRecord]]:
     """One record list per entry of ``procedures``, in order, for one cell.
 
     Each replicate's dataset, P-values and signal mask are built once and
-    every procedure decides on them.
+    every procedure decides on them. ``schedule``, when given, must be the
+    one ``config.make_schedule()`` builds; otherwise the cell builds it if a
+    streaming rule needs it.
     """
-    schedule = config.make_schedule() if any(proc != "bh" for proc in procedures) else None
+    if schedule is None and any(proc != "bh" for proc in procedures):
+        schedule = config.make_schedule()
     records = [[] for _ in procedures]
     for rep in range(config.reps):
         dataset = make_mixture(config, rep)
@@ -224,17 +251,23 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     procedure innermost) and seeded independently, so a rerun of any
     subset reproduces the same rows. Each replicate is generated once per
     cell and decided by every procedure, so the rows equal those of
-    ``run_cell`` per procedure plus ``pool``.
+    ``run_cell`` per procedure plus ``pool``. Cells that share a schedule
+    (same kind, budget and exponent) read one schedule object.
     """
     r_values = list(r_values)
     n_values = list(n_values)
     if not r_values or not n_values:
         raise ValueError("r_values and n_values must be non-empty")
+    schedules = {}  # by (kind, budget, exponent); under inverse-log the budget varies with n
     rows = []
     for n in n_values:
         for r in r_values:
             cell = replace(base, n=int(n), r=float(r))
-            for procedure, records in zip(cell.procedures, _cell_records(cell, cell.procedures)):
+            key = (cell.schedule, cell.effective_q(), cell.nu)
+            if key not in schedules and any(proc != "bh" for proc in cell.procedures):
+                schedules[key] = cell.make_schedule()
+            cell_records = _cell_records(cell, cell.procedures, schedules.get(key))
+            for procedure, records in zip(cell.procedures, cell_records):
                 rows.extend(_row(cell, procedure, rec) for rec in records)
                 rows.append(_row(cell, procedure, pool(records)))
     return rows

@@ -28,7 +28,6 @@ from streamfdr import (
     make_adaptive_schedule,
     make_power_schedule,
     pool,
-    run_cell,
 )
 from streamfdr.cli import cmd_simulate
 
@@ -169,8 +168,10 @@ def test_criterion_4_mixture_fdr_control():
     details = []
     for r in (0.3, 0.9, 1.5):
         cfg = MixtureConfig(n=10**5, beta=0.6, r=r, gamma=2.0, q=0.1, reps=100, seed=1004)
-        for proc in ("lord", "lond", "bh"):
-            pooled = pool(run_cell(cfg, proc))
+        procs = ("lord", "lond", "bh")
+        # One generation per replicate, decided by every procedure.
+        for proc, records in zip(procs, simulation._cell_records(cfg, procs)):
+            pooled = pool(records)
             bound = 0.1 + 3 * pooled.fdp_se
             if pooled.fdp > bound:
                 ok = False
@@ -196,8 +197,8 @@ def _fnp_curve(beta, procedures, seed):
             n=10**5, beta=beta, r=r, gamma=2.0, q=0.1, reps=100, seed=seed,
             procedures=tuple(procedures),
         )
-        for proc in procedures:
-            pooled = pool(run_cell(cfg, proc))
+        for proc, records in zip(procedures, simulation._cell_records(cfg, procedures)):
+            pooled = pool(records)
             curves[proc].append(pooled.fnp)
             ses[proc].append(pooled.fnp_se)
     return curves, ses

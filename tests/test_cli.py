@@ -75,13 +75,8 @@ class TestParseConfig:
         assert err.value.key == "beta"
         assert "(0, 1)" in str(err.value)
 
-    @pytest.mark.parametrize(
-        "old, new, key",
-        [("gamma = 2", "gamma = inf", "gamma"), ("r = 0.8", "r = inf", "r"),
-         ("gamma = 2", "gamma = 1e308", "gamma")],  # the last overflows the shift mu
-    )
-    def test_non_finite_model_values_exit_2_naming_the_key(self, old, new, key, tmp_path, capsys):
-        text = GOOD_CONFIG.replace(old, new)
+    @staticmethod
+    def assert_exit_2_naming(text, key, tmp_path, capsys):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.key == key
@@ -89,6 +84,45 @@ class TestParseConfig:
         config.write_text(text)
         assert cmd_simulate(str(config), str(tmp_path / "out.csv")) == EXIT_CONFIG
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [("gamma = 2", "gamma = inf", "gamma"), ("r = 0.8", "r = inf", "r"),
+         ("gamma = 2", "gamma = 1e308", "gamma")],  # the last overflows the shift mu
+    )
+    def test_non_finite_model_values_exit_2_naming_the_key(self, old, new, key, tmp_path, capsys):
+        self.assert_exit_2_naming(GOOD_CONFIG.replace(old, new), key, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("n = 2000", "n = 0", "n"),
+            ("beta = 0.5", "beta = 0", "beta"),
+            ("r = 0.8", "r = -1", "r"),
+            ("gamma = 2", "gamma = 0.5", "gamma"),
+            # mu overflows: the larger of gamma and r is at fault.
+            ("r = 0.8\ngamma = 2", "r = 1e308\ngamma = 1", "r"),
+            ("q = 0.1", "q = 1", "q"),
+            ("q = 0.1", "q_rule = bogus", "q_rule"),
+            ("n = 2000\n", "n = 2\nq_rule = inverse-log\n", "n"),
+            ("seed = 7", "seed = -1", "seed"),
+            ("reps = 3", "reps = 0", "reps"),
+            ("procedures = lord, bh", "procedures = lord, storey", "procedures"),
+            ("q = 0.1", "q = 0.1\nschedule = bogus", "schedule"),
+            ("q = 0.1", "q = 0.1\nnu = 1", "nu"),
+        ],
+    )
+    def test_each_field_names_its_key(self, old, new, key, tmp_path, capsys):
+        assert old in GOOD_CONFIG
+        self.assert_exit_2_naming(GOOD_CONFIG.replace(old, new), key, tmp_path, capsys)
+
+    def test_messages_are_the_config_messages(self):
+        text = GOOD_CONFIG.replace("r = 0.8\ngamma = 2", "r = 1e308\ngamma = 1")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (
+            "config key 'r': mu must be finite: gamma 1.0 and r 1e+308 overflow it"
+        )
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigError) as err:
@@ -152,6 +186,13 @@ class TestSimulateCommand:
         code = cmd_simulate(str(config), str(tmp_path / "o.csv"), reps=0)
         assert code == EXIT_CONFIG
         assert "reps" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(GOOD_CONFIG)
+        code = cmd_simulate(str(config), str(tmp_path / "o.csv"), seed=-1)
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestScheduleCommand:

@@ -306,3 +306,28 @@ class TestOneGenerationPerReplicate:
         cfg = small_config(n=500, reps=3, procedures=procedures)
         run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500])
         assert calls == {"make_mixture": 2 * 2 * 3, "pvalue": 2 * 2 * 3}
+
+    @pytest.mark.parametrize(
+        "overrides, builds",
+        [
+            ({}, 1),
+            ({"schedule": "adaptive"}, 1),
+            ({"q_rule": "inverse-log"}, 2),  # the budget 1/log n differs per n
+            ({"procedures": ("bh",)}, 0),
+        ],
+    )
+    def test_one_schedule_per_kind_budget_and_exponent(self, overrides, builds, monkeypatch):
+        built = []
+        for name in ("make_power_schedule", "make_adaptive_schedule"):
+            original = getattr(simulation, name)
+
+            def wrapper(*args, _original=original, **kwargs):
+                built.append(_original(*args, **kwargs))
+                return built[-1]
+
+            monkeypatch.setattr(simulation, name, wrapper)
+        cfg = small_config(n=500, reps=2, **overrides)
+        rows = run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500])
+        assert len(built) == builds
+        monkeypatch.undo()
+        assert rows == self.per_procedure_rows(cfg, [0.5, 0.9], [400, 500])
