@@ -92,19 +92,17 @@ def parse_config(text: str):
     if "beta" not in raw:
         raise ConfigError("beta", "missing required key 'beta'")
 
+    # A bad grid point is blamed on the grid key it came from.
+    keys = {scalar: grid for scalar, grid in (("n", "n_values"), ("r", "r_values")) if grid in raw}
     n_values = raw.pop("n_values", None) or [raw.pop("n")]
     r_values = raw.pop("r_values", None) or [raw.pop("r")]
     if "procedures" in raw:
         raw["procedures"] = tuple(raw["procedures"])
-    try:
-        base = MixtureConfig(n=int(n_values[0]), r=float(r_values[0]), **raw)
-        # Validate every grid point, not just the first.
-        for n in n_values:
-            for r in r_values:
-                MixtureConfig(**{**raw, "n": int(n), "r": float(r)})
+    try:  # every grid point; the first is the base config
+        points = [MixtureConfig(n=int(n), r=float(r), **raw) for n in n_values for r in r_values]
     except FieldError as exc:
-        raise ConfigError(exc.field, str(exc)) from None
-    return base, r_values, n_values
+        raise ConfigError(keys.get(exc.field, exc.field), str(exc)) from None
+    return points[0], r_values, n_values
 
 
 def _make_schedule_from_flags(q: float, nu, adaptive: bool) -> LambdaSchedule:
@@ -127,17 +125,9 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
         return EXIT_CONFIG
     try:
         base, r_values, n_values = parse_config(text)
-        overrides = {}
-        if seed is not None:
-            overrides["seed"] = seed
-        if reps is not None:
-            overrides["reps"] = reps
-        if overrides:
-            base = dataclasses.replace(base, **overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        overrides = {k: v for k, v in (("seed", seed), ("reps", reps)) if v is not None}
+        base = dataclasses.replace(base, **overrides)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_CONFIG
     rows = run_grid(base, r_values, n_values)

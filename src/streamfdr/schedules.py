@@ -8,12 +8,12 @@ infinite sum equals the total FDR budget ``q``. Two kinds are provided:
   yet decays slower than every power ``i**-nu`` with ``nu > 1``, so it
   needs no tuning of ``nu``.
 
-Values are materialized lazily in fixed-size chunks; scalar lookups and
-array slices read the same chunk arrays, so both return bit-identical
-floats no matter the access order. Chunks starting at or below
-``_CACHE_LIMIT`` are kept; past it a schedule keeps only the chunk it
-built last (the far slot), so a stream reading indices in order builds
-each far chunk once and memory stays bounded however long it runs.
+Values are built 4096 at a time by one expression. Bulk reads from index
+1 grow a contiguous read-only prefix lambda_1 .. lambda_m (at least
+doubling it) and get views of it; every other read goes through one slot
+holding the chunk built last, so a stream builds each chunk once and
+holds one chunk however long it runs. ``slice`` and ``prefix`` return
+read-only arrays, and lookups and slices give the same bits in any order.
 
 Only ``make_power_schedule`` needs scipy (for ``zeta``), and it imports
 ``scipy.special`` on its first call; adaptive schedules never load scipy,
@@ -30,10 +30,6 @@ import numpy as np
 __all__ = ["LambdaSchedule", "make_power_schedule", "make_adaptive_schedule"]
 
 _CHUNK = 4096
-# Chunks starting at or below this index are cached; beyond it only the
-# most recently built chunk is kept (one per schedule), so unbounded
-# streams cannot exhaust memory.
-_CACHE_LIMIT = 10**7
 
 # sum_{j>=2} 1/(j log^2 j): the pairwise float sum of its first 1e7 terms
 # plus the Euler-Maclaurin tail 1/log(M) + f(M)/2 - f'(M)/12 from
@@ -49,69 +45,81 @@ def _check_q(q: float) -> float:
     return q
 
 
+def _index(name: str, value, least: int) -> int:
+    """``value`` as an int; a ``ValueError`` naming it unless a whole number >= least."""
+    try:
+        if (whole := int(value)) == value >= least:
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class LambdaSchedule:
     """A concrete significance-budget sequence.
 
     ``normalizer`` is the constant L that makes the infinite sum equal
-    ``q``. Instances are immutable apart from the internal chunk cache
-    and the far slot, and safe to share once constructed: the slot holds a
-    ``(chunk number, values)`` pair replaced whole and read once, so no
-    reader pairs one chunk's number with another chunk's values.
+    ``q``. Safe to share without a lock: the prefix and the slot (a
+    ``(chunk number, values)`` pair, read once) are replaced whole with
+    correct values and never written once published, so a race costs at
+    most a rebuild, and no reader pairs one chunk's number with another's.
     """
 
     kind: str
     q: float
     nu: float | None
     normalizer: float
-    _chunks: dict = field(default_factory=dict, repr=False, compare=False)
-    _far: tuple = field(default=(-1, None), repr=False, compare=False)
+    # An empty float64 array, read-only because bytes are immutable.
+    _prefix: np.ndarray = field(default_factory=lambda: np.frombuffer(b""), repr=False, compare=False)
+    _last: tuple = field(default=(-1, None), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "adaptive"):
             raise ValueError(f"kind must be 'power' or 'adaptive', got {self.kind!r}")
 
     def _chunk(self, c: int) -> np.ndarray:
-        cached = self._chunks.get(c)
-        if cached is not None:
-            return cached
-        far_c, far_values = self._far
-        if far_c == c:
-            return far_values
-        start = c * _CHUNK + 1
-        i = np.arange(start, start + _CHUNK, dtype=np.float64)
-        if self.kind == "power":
-            values = self.normalizer * i ** (-self.nu)
-        else:
-            values = self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2)
-        if start <= _CACHE_LIMIT:
-            self._chunks[c] = values
-        else:
-            self._far = (c, values)
+        """Values of chunk ``c``: from the slot, else the prefix, else built into the slot."""
+        last_c, values = self._last
+        if last_c == c:
+            return values
+        prefix = self._prefix
+        if (c + 1) * _CHUNK <= prefix.size:
+            return prefix[c * _CHUNK : (c + 1) * _CHUNK]
+        i = np.arange(c * _CHUNK + 1, (c + 1) * _CHUNK + 1, dtype=np.float64)
+        values = (self.normalizer * i ** (-self.nu) if self.kind == "power"
+                  else self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2))
+        self._last = (c, values)
         return values
 
     def lambda_at(self, i: int) -> float:
         """The i-th budget value, i >= 1."""
-        if i != int(i) or i < 1:
-            raise ValueError(f"index must be a positive integer, got {i}")
-        c, offset = divmod(int(i) - 1, _CHUNK)
+        c, offset = divmod(_index("index", i, 1) - 1, _CHUNK)
         return float(self._chunk(c)[offset])
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
-        """Values lambda_lo .. lambda_{hi-1} as an array (lo >= 1)."""
-        if lo < 1 or hi < lo:
-            raise ValueError(f"invalid index range [{lo}, {hi})")
-        out = np.empty(hi - lo, dtype=np.float64)
-        pos = lo
-        while pos < hi:
-            c, offset = divmod(pos - 1, _CHUNK)
-            take = min(hi - pos, _CHUNK - offset)
-            out[pos - lo : pos - lo + take] = self._chunk(c)[offset : offset + take]
-            pos += take
-        return out
+        """Values lambda_lo .. lambda_{hi-1} as a read-only array (lo >= 1).
+
+        A range inside the prefix is a view of it. From ``lo == 1`` the
+        prefix first grows to cover the range, at least doubling; any
+        other range is copied from its chunks and leaves the prefix as is.
+        """
+        lo = _index("lo", lo, 1)
+        hi = _index("hi", hi, lo)
+        prefix = self._prefix
+        if hi - 1 <= prefix.size or hi == lo:
+            return prefix[lo - 1 : hi - 1]
+        first, stop = (lo - 1) // _CHUNK, (hi - 2) // _CHUNK + 1
+        if lo == 1:
+            stop = max(stop, 2 * prefix.size // _CHUNK)
+        values = np.concatenate([self._chunk(c) for c in range(first, stop)])
+        values.flags.writeable = False
+        if lo == 1:
+            self._prefix = values
+        return values[lo - 1 - first * _CHUNK : hi - 1 - first * _CHUNK]
 
     def prefix(self, n: int) -> np.ndarray:
-        """lambda_1 .. lambda_n as an array."""
+        """lambda_1 .. lambda_n as a read-only view of the grown prefix."""
         return self.slice(1, n + 1)
 
 

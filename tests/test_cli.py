@@ -110,6 +110,10 @@ class TestParseConfig:
             ("procedures = lord, bh", "procedures = lord, storey", "procedures"),
             ("q = 0.1", "q = 0.1\nschedule = bogus", "schedule"),
             ("q = 0.1", "q = 0.1\nnu = 1", "nu"),
+            # A bad grid point names the grid key.
+            ("n = 2000", "n_values = 100, 0", "n_values"),
+            ("r = 0.8", "r_values = 0.5, -1", "r_values"),
+            ("n = 2000\n", "n_values = 2, 100\nq_rule = inverse-log\n", "n_values"),
         ],
     )
     def test_each_field_names_its_key(self, old, new, key, tmp_path, capsys):

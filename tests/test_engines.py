@@ -393,7 +393,7 @@ def rederive_far(engine, p, start, far, head):
 
 
 class TestFarIndices:
-    """Steps resumed deep in a stream, before and past the schedule cache limit."""
+    """Steps resumed deep in a stream, at index 1e6 and past index 1e7."""
 
     @pytest.mark.parametrize("start", [10**6, 2 * 10**7])
     @pytest.mark.parametrize("kind", ["power", "adaptive"])

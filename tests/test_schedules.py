@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from streamfdr import LambdaSchedule, make_adaptive_schedule, make_power_schedule, schedules
 
 CHUNK = schedules._CHUNK
-LAST_CACHED = (schedules._CACHE_LIMIT - 1) // CHUNK  # last chunk starting at or below the limit
+# The chunks either side of index 1e7: 2441 is the last to start at or
+# below it, (10**7 - 1) // CHUNK. Deep reads are checked across this seam.
+LAST_CACHED = 2441
 FIRST_FAR = LAST_CACHED + 1
 MAKERS = {
     "power": lambda: make_power_schedule(1.05, 0.1),
@@ -41,6 +43,19 @@ def adaptive_sum_bracket(schedule, n_terms=10**7):
     low = partial + schedule.normalizer / math.log(m + 1)
     high = partial + schedule.normalizer / math.log(m)
     return low, high
+
+
+def counting_builds(monkeypatch):
+    """Start index of every chunk built from now on (wraps ``schedules.np.arange``)."""
+    builds = []
+    arange = np.arange
+
+    def counting_arange(start, *args, **kwargs):
+        builds.append(start)
+        return arange(start, *args, **kwargs)
+
+    monkeypatch.setattr(schedules.np, "arange", counting_arange)
+    return builds
 
 
 class TestPowerSchedule:
@@ -210,7 +225,7 @@ class TestLambdaAccess:
 
 
 class TestFarPath:
-    """Chunks past the cache limit: only the last one built is kept."""
+    """Point reads and slices past the prefix: only the chunk built last is kept."""
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_far_reads_agree_bitwise(self, kind):
@@ -230,18 +245,13 @@ class TestFarPath:
         for i in (10**7 + 1, (FIRST_FAR + 1) * CHUNK, 2 * 10**7, 10**9):
             sched.lambda_at(i)
         sched.slice(2 * 10**7, 2 * 10**7 + 3 * CHUNK)
-        assert max(sched._chunks) == LAST_CACHED
+        assert sched._prefix.size == 0
+        c, values = sched._last
+        assert c == (2 * 10**7 + 3 * CHUNK - 2) // CHUNK and values.size == CHUNK
 
     def test_sequential_far_read_builds_each_chunk_once(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
-        builds = []
-        arange = np.arange
-
-        def counting_arange(start, *args, **kwargs):
-            builds.append(start)
-            return arange(start, *args, **kwargs)
-
-        monkeypatch.setattr(schedules.np, "arange", counting_arange)
+        builds = counting_builds(monkeypatch)
         lo = FIRST_FAR * CHUNK + 1
         for i in range(lo, lo + 3 * CHUNK):
             sched.lambda_at(i)
@@ -296,3 +306,146 @@ class TestFarPath:
         independent = partial + 1.0 / u + f / 2.0 - f1 / 12.0 + f3 / 720.0
         assert abs(schedules._ADAPTIVE_NORM - independent) <= 1e-14 * independent
         assert make_adaptive_schedule(0.1).normalizer == 0.1 / schedules._ADAPTIVE_NORM
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestStore:
+    """The read-only prefix grown by bulk reads and the one-chunk slot for the rest."""
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_returned_arrays_are_read_only(self, kind):
+        sched = MAKERS[kind]()
+        far = sched.slice(3 * CHUNK - 5, 3 * CHUNK + 5)  # past the prefix, across a seam
+        assert sched._prefix.size == 0
+        views = [far, sched.slice(2 * 10**7, 2 * 10**7 + 3), sched.prefix(10),
+                 sched.slice(1, CHUNK + 2), sched.slice(7, 20), sched.slice(CHUNK - 2, 2 * CHUNK),
+                 sched.slice(2 * CHUNK - 3, 4 * CHUNK)]  # the last starts inside the prefix, ends past it
+        for values in views:
+            assert values.size and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+            with pytest.raises(ValueError):
+                values += 1.0
+        assert not sched._prefix.flags.writeable
+        assert sched.slice(5, 5).size == sched.slice(10**7, 10**7).size == sched.prefix(0).size == 0
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_views_survive_growth(self, kind):
+        sched = MAKERS[kind]()
+        early = [sched.prefix(5000), sched.slice(100, 4000)]
+        copies = [bits(values) for values in early]
+        base = sched._prefix
+        sched.prefix(10**5)
+        sched.prefix(3 * 10**5)
+        assert sched._prefix is not base and sched._prefix.size >= 3 * 10**5
+        assert [bits(values) for values in early] == copies
+        assert bits(sched.prefix(5000)) == copies[0]
+
+    def test_stepwise_growth_builds_each_chunk_once(self, monkeypatch):
+        sched = make_power_schedule(1.05, 0.1)
+        builds = counting_builds(monkeypatch)
+        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 1, 5 * CHUNK,
+                  10 * CHUNK + 7, 10 * CHUNK + 8, 40 * CHUNK, 41 * CHUNK, 200 * CHUNK + 1):
+            sched.prefix(n)
+            # A bulk read of n values keeps at most about 2n.
+            assert n <= sched._prefix.size <= 2 * n + CHUNK
+        assert builds == [c * CHUNK + 1 for c in range(sched._prefix.size // CHUNK)]
+
+    def test_growth_at_least_doubles(self):
+        # Copying stays linear: reading one more chunk at a time publishes a
+        # new prefix only when the size doubles.
+        sched = make_adaptive_schedule(0.1)
+        sizes = []
+        for n in range(1, 64 * CHUNK + 2, CHUNK):
+            sched.prefix(n)
+            if sched._prefix.size not in sizes:
+                sizes.append(sched._prefix.size)
+        assert sizes == [CHUNK * 2**k for k in range(8)]
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_mixed_access_orders_agree_bitwise(self, kind):
+        make = MAKERS[kind]
+        points = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 10 * CHUNK + 5,
+                  FIRST_FAR * CHUNK + 1, 2 * 10**7)
+        want = {i: bits([make().lambda_at(i)]) for i in points}
+        head = bits(make().prefix(12 * CHUNK))
+        for order in range(3):
+            sched = make()
+            if order == 1:
+                sched.prefix(CHUNK + 1)  # growth before any point read
+            for i in points:
+                assert bits([sched.lambda_at(i)]) == want[i], (order, i)
+            if order != 1:
+                assert sched._prefix.size == 0  # point reads never fill the prefix
+            if order == 2:
+                sched.slice(5 * CHUNK - 3, 9 * CHUNK)  # a far slice first
+            assert bits(sched.prefix(3 * CHUNK + 1)) == head[: 3 * CHUNK + 1]
+            for i in points:  # inside the prefix now, and past it
+                assert bits([sched.lambda_at(i)]) == want[i], (order, i)
+            across = sched.slice(2 * CHUNK + 9, 12 * CHUNK + 1)  # from inside the prefix to past it
+            assert bits(across) == head[2 * CHUNK + 8 :]
+            assert bits(sched.prefix(12 * CHUNK)) == head
+            assert bits(sched.slice(CHUNK, 3 * CHUNK)) == head[CHUNK - 1 : 3 * CHUNK - 1]
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_threads_growing_the_prefix(self, kind):
+        # Growth publishes a new array whole; a reader holding the old one,
+        # or a thread whose smaller prefix is stored last, still reads the
+        # right values.
+        sched = MAKERS[kind]()
+        head = MAKERS[kind]().prefix(61 * CHUNK).view(np.uint64)
+        sizes = (1, CHUNK + 1, 7 * CHUNK, 20 * CHUNK + 3, 60 * CHUNK)
+        barrier = threading.Barrier(4)
+        wrong = []
+
+        def read(k):
+            barrier.wait()
+            for _ in range(30):
+                for n in sizes[k % 2 :: 1 + k % 2]:
+                    if not np.array_equal(sched.prefix(n).view(np.uint64), head[:n]):
+                        wrong.append((k, n))
+                    if sched.slice(n, n + 3).view(np.uint64).tolist() != head[n - 1 : n + 2].tolist():
+                        wrong.append((k, n, "slice"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+class TestIndexChecks:
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), 2.5, 0, -3, 0.0, "3", None])
+    def test_lambda_at_names_the_index(self, bad):
+        sched = make_power_schedule(2.0, 0.1)
+        with pytest.raises(ValueError, match=r"^index must be an integer >= 1, got "):
+            sched.lambda_at(bad)
+
+    @pytest.mark.parametrize(
+        "lo, hi, name",
+        [(1.5, 4, "lo"), (float("nan"), 4, "lo"), (float("inf"), 4, "lo"), (0, 4, "lo"), ("1", 4, "lo"),
+         (1, 4.5, "hi"), (1, float("nan"), "hi"), (1, float("inf"), "hi"), (5, 4, "hi"), (2, None, "hi")],
+    )
+    def test_slice_names_the_bound(self, lo, hi, name):
+        sched = make_adaptive_schedule(0.1)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+            sched.slice(lo, hi)
+
+    def test_prefix_names_its_bound(self):
+        with pytest.raises(ValueError, match=r"^hi must be an integer >= 1, got -1$"):
+            make_power_schedule(1.05, 0.1).prefix(-2)
+
+    def test_whole_numbers_of_any_type_are_indices(self):
+        sched = make_power_schedule(1.05, 0.1)
+        assert sched.lambda_at(3.0) == sched.lambda_at(np.int64(3)) == sched.lambda_at(3)
+        assert bits(sched.slice(np.int64(2), 6.0)) == bits(sched.prefix(5)[1:])
