@@ -6,8 +6,9 @@ gamma = 2 is the standard normal law, gamma = 1 the double exponential.
 The right tail is ``0.5 * Q(1/gamma, |x/scale|^gamma / gamma)`` with Q
 the regularized upper incomplete gamma, so the quantile is its closed-form
 inverse through ``gammainccinv``. Also provides the P-value CDFs of
-location-shift alternatives, used as diagnostics and test oracles by the
-simulation layer. Survival, quantile and CDFs take scalars or arrays.
+location-shift alternatives, public diagnostics that the package itself
+does not call (the tests use them as oracles). Survival, quantile and
+CDFs take scalars or arrays.
 
 ``scipy.special`` is imported by the functions that evaluate it (survival
 for gamma != 1, so ``pvalue``, and the quantile), on first use rather than

@@ -139,20 +139,8 @@ def horizon_grid(n: int, floor: int = 10) -> list[int]:
     """Logarithmic evaluation horizons ceil(n / 2**k), descending to ``floor``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    grid = set()
-    h = n
-    k = 0
-    while True:
-        h = -(-n // (2**k))  # ceil division
-        if h < floor:
-            break
-        grid.add(h)
-        if h == 1:
-            break
-        k += 1
-    if not grid:
-        grid.add(n)
-    return sorted(grid)
+    grid = {-(-n // 2**k) for k in range(int(n).bit_length() + 1)}  # ceil(n / 2**k), down to 1
+    return sorted(h for h in grid if h >= floor) or [n]
 
 
 def fdp_at_horizons(rejected: np.ndarray, signal: np.ndarray, horizons) -> np.ndarray:

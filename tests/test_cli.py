@@ -300,31 +300,27 @@ def read_line(stream, timeout=20.0):
 
 class TestStreamProtocolCausality:
     def test_one_decision_per_line_before_next_input(self):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "streamfdr.cli", "stream", "--procedure", "lord",
              "--q", "0.1", "--nu", "2"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            seen = []
-            for p in ["0.04", "0.9", "0.001"]:
-                proc.stdin.write(p + "\n")
-                proc.stdin.flush()
-                seen.append(read_line(proc.stdout))
-            # Three inputs, three decision lines, no summary yet.
-            assert len(seen) == 3
-            assert seen[0].split()[3] == "REJECT"
-            proc.kill()
-            proc.wait()
-            rest = proc.stdout.read()
-            assert rest == ""
-        finally:
-            if proc.poll() is None:
+        ) as proc:
+            try:
+                seen = []
+                for p in ["0.04", "0.9", "0.001"]:
+                    proc.stdin.write(p + "\n")
+                    proc.stdin.flush()
+                    seen.append(read_line(proc.stdout))
+                # Three inputs, three decision lines, no summary yet.
+                assert len(seen) == 3
+                assert seen[0].split()[3] == "REJECT"
+            finally:
                 proc.kill()
                 proc.wait()
+            assert proc.stdout.read() == ""
 
     def test_summary_after_eof(self):
         result = subprocess.run(

@@ -24,6 +24,7 @@ from streamfdr import (
     pvalue,
     run_stream,
 )
+from streamfdr.simulation import MixtureConfig, make_mixture
 
 P_VALUE_GRID = [0.001, 0.02, 0.05, 0.2, 0.9]
 
@@ -112,6 +113,21 @@ class TestPValueErrors:
             lambda: bh_mask(pvals, 0.1),
         ):
             with pytest.raises(ValueError, match=where):
+                call()
+
+    @pytest.mark.parametrize(
+        "pvals, shape",
+        [(np.array([[0.1, 0.2]]), r"\(1, 2\)"), (np.array(0.001), r"\(\)"), (0.001, r"\(\)")],
+    )
+    def test_non_1d_input_names_its_shape(self, pvals, shape):
+        sched = make_power_schedule(1.05, 0.1)
+        for call in (
+            lambda: lord_levels(pvals, sched),
+            lambda: lond_levels(pvals, sched),
+            lambda: run_stream("lord", sched, pvals),
+            lambda: bh_mask(pvals, 0.1),
+        ):
+            with pytest.raises(ValueError, match=rf"1-D sequence, got shape {shape}"):
                 call()
 
 
@@ -240,7 +256,7 @@ class TestRunStream:
                 assert full[:m] == prefix
 
     def test_block_boundaries_are_invisible(self):
-        # Streams longer than the scan block with discoveries near the seams.
+        # Streams longer than the window cap, with discoveries near chunk seams.
         sched = make_power_schedule(1.05, 0.1)
         rng = np.random.default_rng(55)
         p = rng.random(10000)
@@ -272,20 +288,23 @@ SCHEDULES = {
     "constant": ConstantSchedule(0.4),  # lond clamps at 1; no ``prefix``
 }
 
-# Settings of the shared core's private constants, so that the fixpoint,
-# the scan and the settled-prefix fallback each meet every stream.
+# Settings of the shared core's private constants, so that every stream
+# meets one position per round (a plain fold), the whole rest per round
+# and small windows.
 CORE_MODES = {
     "as shipped": {},
-    "fixpoint": {"_DENSE_SHARE": 0.0, "_MAX_ROUNDS": 10**6},
-    "scan": {"_DENSE_SHARE": math.inf},
-    "fallback after 1 round": {"_DENSE_SHARE": 0.0, "_MAX_ROUNDS": 1},
-    "fallback after 3 rounds": {"_DENSE_SHARE": 0.0, "_MAX_ROUNDS": 3},
+    "one position per round": {"_GROW": 1},
+    "whole rest per round": {"_GROW": 10**9, "_WINDOW_MAX": 10**9},
+    "small windows": {"_GROW": 2, "_WINDOW_MAX": 5},
 }
 
 FOLDS = (("lord", lord_levels, fold_lord), ("lond", lond_levels, fold_lond))
 
-# Lengths at the scan's galloping block seams (64, 64 + 128, ...).
-SEAM_LENGTHS = [0, 1, 2, 63, 64, 65, 191, 192, 193, 447, 448, 449]
+# Lengths at the window seams of a stream of acceptances (8, 8 + 64, 72 + 512)
+# and lengths that end inside a window (64, 192, 448), each +-1.
+SEAM_LENGTHS = [
+    0, 1, 2, 7, 8, 9, 63, 64, 65, 71, 72, 73, 191, 192, 193, 447, 448, 449, 583, 584, 585,
+]
 
 
 def assert_core_matches_fold(p, sched):
@@ -307,7 +326,7 @@ def assert_core_matches_fold(p, sched):
 def adversarial_streams(draw):
     """A schedule and a stream of exact ties, 0s, 1s, chain links and noise."""
     sched = SCHEDULES[draw(st.sampled_from(sorted(SCHEDULES)))]
-    n = draw(st.sampled_from(SEAM_LENGTHS[:7]) | st.integers(0, 300))
+    n = draw(st.sampled_from([n for n in SEAM_LENGTHS if n <= 300]) | st.integers(0, 300))
     token = st.one_of(
         st.just(0.0),
         st.just(1.0),
@@ -336,7 +355,7 @@ class TestSharedCore:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_discovery_chain(self, name):
         # p_i = lambda_1: under lord every rejection enables the next, so
-        # the fixpoint settles one index per round.
+        # the loop settles one index per round.
         sched = SCHEDULES[name]
         assert_core_matches_fold(np.full(300, sched.lambda_at(1)), sched)
 
@@ -349,8 +368,8 @@ class TestSharedCore:
         assert_core_matches_fold(np.zeros(1200), sched)
 
     def test_dense_stream_across_seams(self):
-        # Dense enough for the fixpoint as shipped, long enough for the scan
-        # to gallop past several blocks after the capped fallback.
+        # Dense, then a long stretch of acceptances: windows shrink on
+        # discoveries and grow past several seams and the cap afterwards.
         sched = SCHEDULES["power"]
         rng = np.random.default_rng(17)
         p = np.where(rng.random(5000) < 0.05, rng.random(5000) * 1e-4, rng.random(5000))
@@ -371,6 +390,39 @@ class TestSharedCore:
                 Counting.calls = 0
                 levels(p, Counting(0.01))
                 assert Counting.calls == 1
+
+
+def count_rounds(monkeypatch):
+    """Count the shared core's rounds: each round computes its window's levels once."""
+    rounds = []
+    for name, (level, state, hit) in list(engines._RULES.items()):
+        def counted(*args, level=level):
+            rounds.append(1)
+            return level(*args)
+
+        monkeypatch.setitem(engines._RULES, name, (counted, state, hit))
+    return rounds
+
+
+class TestRounds:
+    """The loop's round count, not its time, pins how it covers both regimes."""
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    @pytest.mark.parametrize("levels", [lord_levels, lond_levels])
+    def test_constant_streams_settle_in_few_rounds(self, monkeypatch, levels, value):
+        rounds = count_rounds(monkeypatch)
+        levels(np.full(10**5, value), SCHEDULES["power"])
+        assert 0 < len(rounds) <= 64
+
+    @pytest.mark.parametrize("levels", [lord_levels, lond_levels])
+    def test_dense_mixture_needs_few_rounds_per_discovery(self, monkeypatch, levels):
+        config = MixtureConfig(n=10**5, beta=0.2, r=0.6, seed=0, reps=1)
+        p = pvalue(GGKernel(2.0), make_mixture(config, 0).statistics)
+        rounds = count_rounds(monkeypatch)
+        _, rejected = levels(p, SCHEDULES["power"])
+        discoveries = int(rejected.sum())
+        assert discoveries > 3000
+        assert len(rounds) < discoveries / 20
 
 
 def rederive_far(engine, p, start, far, head):
