@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from .engines import LondState, LordState, lond_step, lord_step
-from .schedules import LambdaSchedule, make_adaptive_schedule, make_power_schedule
+from .schedules import LambdaSchedule, _check_q, make_adaptive_schedule, make_power_schedule
 from .simulation import FieldError, MixtureConfig, run_grid, write_csv
 
 __all__ = ["main", "entry", "cmd_simulate", "cmd_stream", "cmd_schedule", "parse_config"]
@@ -106,9 +106,17 @@ def parse_config(text: str):
 
 
 def _make_schedule_from_flags(q: float, nu, adaptive: bool) -> LambdaSchedule:
+    """The schedule the flags select; a ``ValueError`` names the flag at fault."""
+    try:
+        q = _check_q(q)
+    except ValueError as exc:
+        raise ValueError(f"--q: {exc}") from None
     if adaptive:
         return make_adaptive_schedule(q)
-    return make_power_schedule(1.05 if nu is None else nu, q)
+    try:  # q is valid, so only nu can fail
+        return make_power_schedule(1.05 if nu is None else nu, q)
+    except ValueError as exc:
+        raise ValueError(f"--nu: {exc}") from None
 
 
 def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=None) -> int:

@@ -95,14 +95,17 @@ def gg_survival(kernel: GGKernel, x):
     if g == 2.0:
         from scipy import special
 
-        tail = 0.5 * special.erfc(az / _SQRT2)
+        tail = special.erfc(az / _SQRT2)
     elif g == 1.0:
-        tail = 0.5 * np.exp(-az)
+        tail = np.exp(-az)
     else:
         from scipy import special
 
-        tail = 0.5 * special.gammaincc(1.0 / g, az**g / g)
-    return _like(np.where(arr < 0.0, 1.0 - tail, tail), x)
+        tail = special.gammaincc(1.0 / g, az**g / g)
+    tail = np.asarray(tail)  # a writable 0-d array when x is a scalar
+    tail *= 0.5
+    np.subtract(1.0, tail, out=tail, where=arr < 0.0)
+    return _like(tail, x)
 
 
 def pvalue(kernel: GGKernel, x):
@@ -178,7 +181,7 @@ def mixture_pvalue_cdf(alt: AltPValueCDF, epsilon: float, t):
     times the alternative's P-value CDF. Accepts scalars or arrays of t.
     """
     epsilon = float(epsilon)
-    if math.isnan(epsilon) or not 0.0 <= epsilon <= 1.0:
+    if not 0.0 <= epsilon <= 1.0:  # False at NaN too
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     cdf = alt_pvalue_cdf(alt, t)  # validates t
     return _like((1.0 - epsilon) * np.asarray(t, dtype=np.float64) + epsilon * cdf, t)

@@ -3,7 +3,11 @@
 Two one-pass streaming rules share a budget schedule: one resets the
 budget clock at each discovery (``lord_step``), the other scales the
 budget by the discovery count (``lond_step``). Both decide each
-hypothesis from past P-values only. ``bh_reject`` is the classic static
+hypothesis from past P-values only. On an unbounded stream the step is
+the whole cost, so a step returns a ``Decision`` named tuple (immutable,
+and about the cheapest record Python builds) and reads its level through
+``schedule.lambda_at``, one list index when the schedule's point-read
+slot holds the index's chunk. ``bh_reject`` is the classic static
 step-up rule over a complete P-value vector, used as a non-sequential
 baseline.
 
@@ -34,8 +38,8 @@ one link per round on a small window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +87,12 @@ class LondState:
     discoveries: int = 0
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One step's record; ``rejected`` holds iff ``p <= alpha``."""
+class Decision(NamedTuple):
+    """One step's record; ``rejected`` holds iff ``p <= alpha``.
+
+    A named tuple, so immutable and cheap to build once per step; it
+    compares and unpacks as the tuple ``(index, alpha, p, rejected)``.
+    """
 
     index: int
     alpha: float
@@ -95,7 +102,7 @@ class Decision:
 
 def _check_p(p: float) -> float:
     p = float(p)
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
+    if not 0.0 <= p <= 1.0:  # False at NaN too
         raise ValueError(f"P-value must lie in [0, 1], got {p}")
     return p
 
@@ -137,7 +144,8 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
     """
     p = _check_p(p)
     i = state.next_index
-    alpha = min(1.0, schedule.lambda_at(i) * (state.discoveries + 1))
+    alpha = schedule.lambda_at(i) * (state.discoveries + 1)
+    alpha = alpha if alpha < 1.0 else 1.0  # min(1.0, alpha) without the call
     rejected = p <= alpha
     if rejected:
         state.discoveries += 1
@@ -255,10 +263,7 @@ def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]
         raise ValueError(f"engine must be one of {sorted(_RULES)}, got {engine!r}") from None
     p = _check_p_array(pvalues)
     alpha, rejected = _levels(p, schedule, rule)
-    return [
-        Decision(k + 1, float(alpha[k]), float(p[k]), bool(rejected[k]))
-        for k in range(p.size)
-    ]
+    return list(map(Decision, range(1, p.size + 1), alpha.tolist(), p.tolist(), rejected.tolist()))
 
 
 def bh_mask(pvalues, q: float) -> np.ndarray:

@@ -10,10 +10,16 @@ infinite sum equals the total FDR budget ``q``. Two kinds are provided:
 
 Values are built 4096 at a time by one expression. Bulk reads from index
 1 grow a contiguous read-only prefix lambda_1 .. lambda_m (at least
-doubling it) and get views of it; every other read goes through one slot
-holding the chunk built last, so a stream builds each chunk once and
-holds one chunk however long it runs. ``slice`` and ``prefix`` return
-read-only arrays, and lookups and slices give the same bits in any order.
+doubling it) and get views of it; other bulk reads copy from the prefix
+or from freshly built chunks. Point reads past the prefix own one slot
+holding the chunk read last; from its second read on, as a Python list
+(about 130 KB, against 32 KB as an array), so a hit is one list index
+with no numpy scalar. A stream thus builds each chunk once and holds one
+chunk however long it runs, and streams reading different chunks in turn
+pay one build per read, not a build and a list. Point reads inside the
+prefix read it and leave the slot alone.
+``slice`` and ``prefix`` return read-only arrays, and lookups and slices
+give the same bits in any order.
 
 Only ``make_power_schedule`` needs scipy (for ``zeta``), and it imports
 ``scipy.special`` on its first call; adaptive schedules never load scipy,
@@ -22,7 +28,6 @@ which keeps the cold start of ``streamfdr stream --adaptive`` short.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +45,7 @@ _ADAPTIVE_NORM = 2.1097428012368904
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if math.isnan(q) or not 0.0 < q < 1.0:
+    if not 0.0 < q < 1.0:  # False at NaN too
         raise ValueError(f"q must lie in (0, 1), got {q}")
     return q
 
@@ -60,10 +65,12 @@ class LambdaSchedule:
     """A concrete significance-budget sequence.
 
     ``normalizer`` is the constant L that makes the infinite sum equal
-    ``q``. Safe to share without a lock: the prefix and the slot (a
-    ``(chunk number, values)`` pair, read once) are replaced whole with
-    correct values and never written once published, so a race costs at
-    most a rebuild, and no reader pairs one chunk's number with another's.
+    ``q``. The point-read slot holds ``(c, list)`` for chunk ``c``, or
+    ``(~c, array)`` after a single read of it. Safe to share without a
+    lock: the prefix and the slot (a pair, read once) are replaced whole
+    with correct values and never written once published, so a race
+    costs at most a rebuild, and no reader pairs one chunk's number with
+    another's.
     """
 
     kind: str
@@ -72,30 +79,44 @@ class LambdaSchedule:
     normalizer: float
     # An empty float64 array, read-only because bytes are immutable.
     _prefix: np.ndarray = field(default_factory=lambda: np.frombuffer(b""), repr=False, compare=False)
-    _last: tuple = field(default=(-1, None), repr=False, compare=False)
+    _last: tuple = field(default=(None, None), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "adaptive"):
             raise ValueError(f"kind must be 'power' or 'adaptive', got {self.kind!r}")
 
     def _chunk(self, c: int) -> np.ndarray:
-        """Values of chunk ``c``: from the slot, else the prefix, else built into the slot."""
-        last_c, values = self._last
-        if last_c == c:
-            return values
+        """Values of chunk ``c``: a view of the prefix, else freshly built."""
         prefix = self._prefix
         if (c + 1) * _CHUNK <= prefix.size:
             return prefix[c * _CHUNK : (c + 1) * _CHUNK]
         i = np.arange(c * _CHUNK + 1, (c + 1) * _CHUNK + 1, dtype=np.float64)
-        values = (self.normalizer * i ** (-self.nu) if self.kind == "power"
-                  else self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2))
-        self._last = (c, values)
-        return values
+        return (self.normalizer * i ** (-self.nu) if self.kind == "power"
+                else self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2))
 
     def lambda_at(self, i: int) -> float:
         """The i-th budget value, i >= 1."""
-        c, offset = divmod(_index("index", i, 1) - 1, _CHUNK)
-        return float(self._chunk(c)[offset])
+        if not (type(i) is int and i >= 1):
+            i = _index("index", i, 1)
+        c, offset = divmod(i - 1, _CHUNK)
+        key, values = self._last
+        if key == c:
+            return values[offset]
+        prefix = self._prefix
+        if i <= prefix.size:
+            # No copy into the slot, so streams reading different chunks
+            # of the prefix in turn do not rebuild the slot on every step.
+            return float(prefix[i - 1])
+        if key == ~c:
+            # A second read of the chunk: worth the list (tolist() costs
+            # about 3 builds, which streams reading different chunks in
+            # turn would otherwise pay on every step).
+            values = values.tolist()
+            self._last = (c, values)
+            return values[offset]
+        values = self._chunk(c)
+        self._last = (~c, values)
+        return float(values[offset])
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
         """Values lambda_lo .. lambda_{hi-1} as a read-only array (lo >= 1).
@@ -129,7 +150,7 @@ def make_power_schedule(nu: float, q: float) -> LambdaSchedule:
     ``nu`` must exceed 1 for the series to converge; L = q / zeta(nu).
     """
     nu = float(nu)
-    if math.isnan(nu) or nu <= 1.0:
+    if not nu > 1.0:  # True at NaN too
         raise ValueError(f"nu must exceed 1 (the series diverges otherwise), got {nu}")
     q = _check_q(q)
     from scipy import special

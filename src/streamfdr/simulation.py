@@ -67,7 +67,7 @@ class MixtureConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise FieldError("n", f"n must be a positive integer, got {self.n}")
-        if math.isnan(self.beta) or not 0.0 < self.beta < 1.0:
+        if not 0.0 < self.beta < 1.0:  # False at NaN too
             raise FieldError("beta", f"beta must lie in (0, 1), got {self.beta}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise FieldError("r", f"r must be finite and >= 0, got {self.r}")
@@ -84,7 +84,7 @@ class MixtureConfig:
                 "q_rule", f"q_rule must be 'fixed' or 'inverse-log', got {self.q_rule!r}"
             )
         if self.q_rule == "fixed":
-            if math.isnan(self.q) or not 0.0 < self.q < 1.0:
+            if not 0.0 < self.q < 1.0:
                 raise FieldError("q", f"q must lie in (0, 1), got {self.q}")
         elif self.n < 3:
             raise FieldError("n", f"the inverse-log rule needs n >= 3 so q < 1, got n = {self.n}")
@@ -105,7 +105,7 @@ class MixtureConfig:
             raise FieldError(
                 "schedule", f"schedule must be 'power' or 'adaptive', got {self.schedule!r}"
             )
-        if self.schedule == "power" and (math.isnan(self.nu) or self.nu <= 1.0):
+        if self.schedule == "power" and not self.nu > 1.0:
             raise FieldError("nu", f"nu must exceed 1, got {self.nu}")
 
     @property

@@ -236,6 +236,18 @@ class TestScheduleCommand:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("command", [["stream", "--procedure", "lond"], ["schedule"]])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--q", "1.5", "q must lie in (0, 1), got 1.5"),
+     ("--nu", "0.5", "nu must exceed 1 (the series diverges otherwise), got 0.5")],
+)
+def test_bad_schedule_flag_is_named(command, flag, value, message, capsys):
+    assert main(command + [flag, value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag}: {message}\n" and captured.out == ""
+
+
 def run_stream_inproc(lines, procedure="lord", q=0.1, nu=2.0, adaptive=False):
     stdin = io.StringIO("".join(line + "\n" for line in lines))
     stdout, stderr = io.StringIO(), io.StringIO()

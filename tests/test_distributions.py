@@ -137,6 +137,28 @@ class TestSurvival:
             interior = (vals[:-1] < 1.0) & (vals[1:] > 0.0)
             assert np.all(np.diff(vals)[interior] < 0)
 
+    @pytest.mark.parametrize("g", [1.0, 1.5, 2.0])
+    def test_reflection_matches_where_form_bitwise(self, g):
+        # Against the two-array form: 0.5 * tail, reflected by np.where.
+        def where_form(x):
+            az = np.abs(x)
+            if g == 2.0:
+                tail = 0.5 * special.erfc(az / math.sqrt(2.0))
+            elif g == 1.0:
+                tail = 0.5 * np.exp(-az)
+            else:
+                tail = 0.5 * special.gammaincc(1.0 / g, az**g / g)
+            return np.where(x < 0.0, 1.0 - tail, tail).view(np.uint64)
+
+        edges = [0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 9.0, -9.0, 26.5, -26.5, 38.0, -38.0]
+        x = np.concatenate([edges, np.random.default_rng(9).uniform(-38.0, 38.0, 500)])
+        got = np.asarray(gg_survival(GGKernel(g), x)).view(np.uint64)
+        assert np.array_equal(got, where_form(x))
+        for v in x.tolist():  # scalars take numpy's 0-d paths, not the array loops
+            got = gg_survival(GGKernel(g), v)
+            assert type(got) is float
+            assert np.array_equal(np.array(got).view(np.uint64), where_form(np.array(v))), v
+
 
 class TestTailLaw:
     """-gamma * log(survival(x)) / x**gamma approaches 1 from above."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from streamfdr import engines
 from streamfdr import (
+    Decision,
     GGKernel,
     LondState,
     LordState,
@@ -129,6 +130,24 @@ class TestPValueErrors:
         ):
             with pytest.raises(ValueError, match=rf"1-D sequence, got shape {shape}"):
                 call()
+
+
+class TestDecision:
+    """The per-step record is a named tuple: fixed fields, repr and immutability."""
+
+    def test_record_contract(self):
+        d = lord_step(LordState(), GeometricSchedule(), 0.01)
+        assert type(d) is Decision
+        assert repr(d) == "Decision(index=1, alpha=0.05, p=0.01, rejected=True)"
+        assert Decision._fields == ("index", "alpha", "p", "rejected")
+        assert d == (1, 0.05, 0.01, True)
+        with pytest.raises(AttributeError):
+            d.alpha = 0.5
+
+    def test_run_stream_items_are_decisions(self):
+        for engine in ("lord", "lond"):
+            decisions = run_stream(engine, GeometricSchedule(), [0.01, 0.9, 0.0])
+            assert [type(d) for d in decisions] == [Decision] * 3
 
 
 class TestLordRule:

@@ -242,12 +242,31 @@ class TestFarPath:
     def test_far_chunks_are_not_cached(self, kind):
         sched = MAKERS[kind]()
         sched.lambda_at(10**7)
-        for i in (10**7 + 1, (FIRST_FAR + 1) * CHUNK, 2 * 10**7, 10**9):
+        for i in (10**7 + 1, (FIRST_FAR + 1) * CHUNK, 2 * 10**7, 10**9, 10**9 - 1):
             sched.lambda_at(i)
         sched.slice(2 * 10**7, 2 * 10**7 + 3 * CHUNK)
         assert sched._prefix.size == 0
+        # The slot holds the chunk read last by point reads, read twice so
+        # as a list of floats; slices leave it alone.
         c, values = sched._last
-        assert c == (2 * 10**7 + 3 * CHUNK - 2) // CHUNK and values.size == CHUNK
+        assert c == (10**9 - 1) // CHUNK
+        assert type(values) is list and len(values) == CHUNK and all(type(v) is float for v in values)
+        assert bits(values) == bits(MAKERS[kind]().slice(c * CHUNK + 1, (c + 1) * CHUNK + 1))
+
+    def test_alternating_far_reads_build_no_lists(self, monkeypatch):
+        # Readers of two far chunks in turn pay one build per read; the
+        # chunk becomes a list only when read twice in a row.
+        sched = make_power_schedule(1.05, 0.1)
+        builds = counting_builds(monkeypatch)
+        a, b = FIRST_FAR * CHUNK + 1, (FIRST_FAR + 7) * CHUNK + 5
+        for _ in range(3):
+            for i in (a, b):
+                assert type(sched.lambda_at(i)) is float
+                c, values = sched._last
+                assert c == ~((i - 1) // CHUNK) and isinstance(values, np.ndarray)
+        assert builds == [a, b - 4] * 3
+        sched.lambda_at(b + 1)
+        assert sched._last[0] == (b - 1) // CHUNK and type(sched._last[1]) is list and len(builds) == 6
 
     def test_sequential_far_read_builds_each_chunk_once(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
@@ -354,6 +373,17 @@ class TestStore:
             assert n <= sched._prefix.size <= 2 * n + CHUNK
         assert builds == [c * CHUNK + 1 for c in range(sched._prefix.size // CHUNK)]
 
+    def test_point_reads_inside_the_prefix_leave_the_slot(self, monkeypatch):
+        # Streams reading different chunks of the prefix in turn would
+        # otherwise rebuild the slot on every step.
+        sched = make_power_schedule(1.05, 0.1)
+        head = bits(sched.prefix(3 * CHUNK))
+        builds = counting_builds(monkeypatch)
+        for i in (1, 2 * CHUNK + 1, 2, 3 * CHUNK, CHUNK + 7):
+            got = sched.lambda_at(i)
+            assert type(got) is float and bits([got]) == head[i - 1 : i]
+        assert sched._last == (None, None) and builds == []
+
     def test_growth_at_least_doubles(self):
         # Copying stays linear: reading one more chunk at a time publishes a
         # new prefix only when the size doubles.
@@ -448,4 +478,5 @@ class TestIndexChecks:
     def test_whole_numbers_of_any_type_are_indices(self):
         sched = make_power_schedule(1.05, 0.1)
         assert sched.lambda_at(3.0) == sched.lambda_at(np.int64(3)) == sched.lambda_at(3)
+        assert [type(sched.lambda_at(i)) for i in (3, np.int64(3), 3.0)] == [float] * 3
         assert bits(sched.slice(np.int64(2), 6.0)) == bits(sched.prefix(5)[1:])

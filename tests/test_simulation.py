@@ -9,10 +9,18 @@ from scipy import stats
 
 from streamfdr import simulation
 from streamfdr import (
+    AltPValueCDF,
     GGKernel,
+    LondState,
+    LordState,
     MixtureConfig,
     gg_survival,
+    lond_step,
+    lord_step,
+    make_adaptive_schedule,
     make_mixture,
+    make_power_schedule,
+    mixture_pvalue_cdf,
     pool,
     pvalue,
     run_cell,
@@ -70,6 +78,35 @@ class TestConfigValidation:
     def test_bad_q_rule(self):
         with pytest.raises(ValueError):
             small_config(q_rule="halving")
+
+
+NAN = math.nan
+Q_MESSAGE = r"^q must lie in \(0, 1\), got nan$"
+P_MESSAGE = r"^P-value must lie in \[0, 1\], got nan$"
+
+# Each range check that NaN must fail: (call, message, FieldError.field or None).
+NAN_CHECKS = {
+    "schedule q": (lambda: make_power_schedule(1.05, NAN), Q_MESSAGE, None),
+    "adaptive q": (lambda: make_adaptive_schedule(NAN), Q_MESSAGE, None),
+    "schedule nu": (lambda: make_power_schedule(NAN, 0.1),
+                    r"^nu must exceed 1 \(the series diverges otherwise\), got nan$", None),
+    "config beta": (lambda: small_config(beta=NAN), r"^beta must lie in \(0, 1\), got nan$", "beta"),
+    "config q": (lambda: small_config(q=NAN), Q_MESSAGE, "q"),
+    "config nu": (lambda: small_config(nu=NAN), r"^nu must exceed 1, got nan$", "nu"),
+    "mixture epsilon": (lambda: mixture_pvalue_cdf(AltPValueCDF(GGKernel(2.0), 1.0), NAN, 0.5),
+                        r"^epsilon must lie in \[0, 1\], got nan$", None),
+    "lord_step p": (lambda: lord_step(LordState(), make_adaptive_schedule(0.1), NAN), P_MESSAGE, None),
+    "lond_step p": (lambda: lond_step(LondState(), make_adaptive_schedule(0.1), NAN), P_MESSAGE, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CHECKS))
+def test_nan_fails_each_range_check(name):
+    call, message, field = NAN_CHECKS[name]
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert getattr(info.value, "field", None) == field
+    assert isinstance(info.value, simulation.FieldError) == (field is not None)
 
 
 class TestParameterization:
