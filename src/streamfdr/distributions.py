@@ -68,13 +68,23 @@ class AltPValueCDF:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
 
 
+def _as_array(x) -> np.ndarray:
+    """``x`` as a float array, a scalar as one element.
+
+    A 0-d input would make numpy scalars, whose ``**`` goes through C
+    ``pow`` and can differ in the last bit from the array loop; as one
+    element, a scalar gets the bits it would get inside an array.
+    """
+    return np.atleast_1d(np.asarray(x, dtype=np.float64))
+
+
 def _like(out: np.ndarray, x):
     """``out`` as a float when the input ``x`` was a scalar."""
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _as_finite_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_array(x)
     if not np.all(np.isfinite(arr)):
         raise ValueError("statistic values must be finite")
     return arr
@@ -102,7 +112,6 @@ def gg_survival(kernel: GGKernel, x):
         from scipy import special
 
         tail = special.gammaincc(1.0 / g, az**g / g)
-    tail = np.asarray(tail)  # a writable 0-d array when x is a scalar
     tail *= 0.5
     np.subtract(1.0, tail, out=tail, where=arr < 0.0)
     return _like(tail, x)
@@ -123,7 +132,7 @@ def gg_quantile(kernel: GGKernel, p):
     ``y = gammainccinv(1/gamma, 2p)``; p > 1/2 reflects to ``-x(1 - p)``.
     Accepts scalars or arrays of probabilities in the open interval (0, 1).
     """
-    arr = np.asarray(p, dtype=np.float64)
+    arr = _as_array(p)
     ok = (arr > 0.0) & (arr < 1.0)  # False at NaN too
     if not ok.all():
         raise ValueError(f"p must lie in (0, 1), got {arr[~ok][0]}")
@@ -164,7 +173,7 @@ def alt_pvalue_cdf(alt: AltPValueCDF, t):
     1/2 exactly at t = survival(mu). Accepts scalars or arrays in [0, 1];
     the endpoints map to themselves.
     """
-    arr = np.asarray(t, dtype=np.float64)
+    arr = _as_array(t)
     ok = (arr >= 0.0) & (arr <= 1.0)  # False at NaN too
     if not ok.all():
         raise ValueError(f"t must lie in [0, 1], got {arr[~ok][0]}")
@@ -184,4 +193,4 @@ def mixture_pvalue_cdf(alt: AltPValueCDF, epsilon: float, t):
     if not 0.0 <= epsilon <= 1.0:  # False at NaN too
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     cdf = alt_pvalue_cdf(alt, t)  # validates t
-    return _like((1.0 - epsilon) * np.asarray(t, dtype=np.float64) + epsilon * cdf, t)
+    return _like((1.0 - epsilon) * _as_array(t) + epsilon * cdf, t)

@@ -13,27 +13,23 @@ baseline.
 
 ``run_stream`` and the ``*_levels`` array forms compute exactly what
 folding the step functions would, through one core shared by both
-rules. A rule is three small functions: the levels of a stretch of
-indices from each index's discovery state (last discovery ``t`` for
-lord, count ``D`` for lond), the states that a stretch of rejections
-leaves (a running max of rejected indices, a running sum), and the
-state that one rejection leaves, which keeps a round free of array work
-for the state it hands on.
+rules. A rule is three small functions: a bound on every level the rule
+can give a position, a walk over the positions whose P-values meet it,
+and the levels that a set of rejections implies.
 
-The core reads the schedule once and solves states -> levels ->
-rejections -> states in rounds over a window of positions. The map is
-causal (the state before index i depends on rejections before i only),
-so from the exact state at the window's start and any guess of the
-window's rejections, the outcome is exact up to and including the first
-position where it differs from the guess: an exact prefix of states
-yields exact rejections and so an exact next state. Each round thus
-settles at least one position, and the next round starts there, guessing
-what this one decided past it. A window is a few times the last round's
-settled count, capped: a stretch of acceptances (empty guess, one state,
-levels a fixed slice of the schedule) is a few vectorized comparisons,
-a dense stream settles long runs per round once the guess has caught up,
-and a discovery chain, where each rejection enables the next, settles
-one link per round on a small window.
+The core reads the schedule once and finds the candidates, the
+positions whose P-value is at or below the largest level any past could
+give there: the largest schedule value for lord (lambda_1 when the
+schedule does not increase), ``lambda_i * i`` for lond (``D <= i - 1``,
+multiplying a float by an exact integer is monotone, and lambda >= 0).
+Only a candidate can reject, and a rule's state (last discovery ``t``,
+discovery count ``D``) changes only at a rejection, so walking the
+candidates in order with the step's own float expression, and nothing
+else, yields every rejection and the exact state before each position.
+The levels then follow from the rejected positions in one vectorized
+pass. The cost is O(n) vectorized work plus one Python iteration (about
+0.3 us) per candidate: a discovery chain costs what an all-zero stream
+costs, and a stream of acceptances walks nothing.
 """
 
 from __future__ import annotations
@@ -57,19 +53,6 @@ __all__ = [
     "bh_reject",
     "bh_mask",
 ]
-
-# A window holds 8 times the positions the last round settled, so a
-# discovery chain pays one 8-value round per link, and the emptiness test
-# is count_nonzero (0.5 us on 8 values; .any() takes 1.8 us). Measured at
-# n = 1e5 on a 2-vCPU VM (Python 3.11, numpy 2.4): growing by 4 took
-# beta = 0.2 lord mixtures from 12 to 22 ms, growing by 16 took the lord
-# chain p_i = lambda_1 from 455 to 593 ms.
-_GROW = 8
-# A round whose guess holds a discovery rebuilds the states of its whole
-# window. At n = 1e5, beta = 0.6 mixtures with hits ran up to 2.3 times
-# slower under a cap of 65536 than under 8192.
-_WINDOW_MAX = 8192
-
 
 @dataclass
 class LordState:
@@ -153,81 +136,79 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
     return Decision(i, alpha, p, rejected)
 
 
-def _lord_level(lam: np.ndarray, lo: int, hi: int, t) -> np.ndarray:
-    """Levels ``lambda_{i - t}`` of indices lo+1..hi, t the last discovery before each."""
-    if isinstance(t, int):  # one state for the whole stretch (an empty guess): a view
-        return lam[lo - t : hi - t]
-    return lam[np.arange(lo, hi) - t]
+def _lord_bound(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Candidates of lord: every level is some lambda_j, so at most the largest."""
+    return p <= lam.max(initial=0.0)
 
 
-def _lord_state(rejected: np.ndarray, lo: int, t: int) -> np.ndarray:
-    """Last discovery after each of indices lo+1..: running max of rejected indices."""
-    return np.maximum.accumulate(np.where(rejected, np.arange(lo + 1, lo + rejected.size + 1), t))
+def _lord_walk(lam: memoryview, positions: list, values: list) -> list:
+    """Rejected positions among the candidates; ``t`` is the last discovery (1-based)."""
+    hits, t = [], 0
+    for k, x in zip(positions, values):
+        if x <= lam[k - t]:  # alpha_{k+1} = lambda_{k+1-t}
+            t = k + 1
+            hits.append(k)
+    return hits
 
 
-def _lord_hit(i: int, t: int) -> int:
-    """Last discovery after a rejection at index i."""
-    return i
+def _lord_levels(lam: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Levels ``lambda_{i - t}``: each run reads the schedule from lambda_1 again."""
+    offset = np.arange(lam.size)
+    offset -= np.repeat(np.cumsum(runs) - runs, runs)
+    return lam.take(offset)
 
 
-def _lond_level(lam: np.ndarray, lo: int, hi: int, d) -> np.ndarray:
-    """Levels ``min(1, lambda_i (D + 1))`` of indices lo+1..hi, D the count before each."""
-    return np.minimum(1.0, lam[lo:hi] * (d + 1))
+def _lond_bound(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Candidates of lond: with ``D <= i - 1`` every level is at most ``lambda_i * i``."""
+    bound = np.arange(1.0, lam.size + 1.0)
+    return p <= np.multiply(bound, lam, out=bound)
 
 
-def _lond_state(rejected: np.ndarray, lo: int, d: int) -> np.ndarray:
-    """Discovery count after each of indices lo+1..: running sum of rejections."""
-    return d + np.cumsum(rejected)
+def _lond_walk(lam: memoryview, positions: list, values: list) -> list:
+    """Rejected positions among the candidates; ``d`` is the discovery count plus one.
+
+    The ``min(1, .)`` clamp of the step cannot change a decision, as p <= 1.
+    """
+    hits, d = [], 1
+    for k, x in zip(positions, values):
+        if x <= lam[k] * d:
+            d += 1
+            hits.append(k)
+    return hits
 
 
-def _lond_hit(i: int, d: int) -> int:
-    """Discovery count after a rejection at index i."""
-    return d + 1
+def _lond_levels(lam: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Levels ``min(1, lambda_i (D + 1))``: ``D + 1`` counts the runs so far."""
+    alpha = np.repeat(np.arange(1.0, runs.size + 1.0), runs)
+    np.multiply(alpha, lam, out=alpha)
+    return np.minimum(alpha, 1.0, out=alpha)
 
 
 _RULES = {
-    "lord": (_lord_level, _lord_state, _lord_hit),
-    "lond": (_lond_level, _lond_state, _lond_hit),
+    "lord": (_lord_bound, _lord_walk, _lord_levels),
+    "lond": (_lond_bound, _lond_walk, _lond_levels),
 }
 
 
 def _levels(p: np.ndarray, schedule, rule):
     """Shared core of ``lord_levels``/``lond_levels`` on a validated array.
 
-    ``rule`` is a rule's ``(level, state, hit)`` functions, as in ``_RULES``.
-    Each round covers a window ``[lo, hi)`` from the exact state ``s``
-    before ``lo``. Its guess is ``rejected[lo:hi]``, what earlier rounds
-    wrote there (nothing at first): any guess is safe, since the outcome
-    is exact up to and including its first difference from the guess,
-    and those ``k`` positions are settled. A round writes ``alpha`` and
-    ``rejected`` over its whole window, so a position keeps the values of
-    the round that settles it, and the rest are the next round's guess.
-    The next state is the one before the last settled position, moved on
-    by ``hit`` if that position rejects.
+    ``rule`` is a rule's ``(bound, walk, levels)`` functions, as in
+    ``_RULES``. The walk reads the schedule through a memoryview and the
+    candidates as lists, so each step of it handles Python floats only.
+    ``levels`` gets the lengths of the runs of positions that share a
+    state: the first run starts the stream, and a new one starts right
+    after each rejection inside it.
     """
-    level, state, hit = rule
+    bound, walk, levels = rule
     n = p.size
     lam = schedule.slice(1, n + 1)
-    alpha = np.empty(n, dtype=np.float64)
+    positions = np.flatnonzero(bound(p, lam))
+    hits = np.array(walk(memoryview(lam), positions.tolist(), p[positions].tolist()), dtype=np.intp)
     rejected = np.zeros(n, dtype=bool)
-    lo, s, k = 0, 0, 1
-    while lo < n:
-        hi = min(n, lo + min(_WINDOW_MAX, _GROW * k))
-        guess = rejected[lo:hi]
-        # The state before each window position, or one int under an empty guess.
-        states = np.concatenate(([s], state(guess[:-1], lo, s))) if np.count_nonzero(guess) else s
-        a = level(lam, lo, hi, states)
-        r = p[lo:hi] <= a
-        moved = (r != guess).nonzero()[0]  # np.flatnonzero adds ~2 us a round
-        k = int(moved[0]) + 1 if moved.size else hi - lo
-        alpha[lo:hi] = a
-        rejected[lo:hi] = r
-        if isinstance(states, np.ndarray):
-            s = int(states[k - 1])
-        lo += k
-        if r[k - 1]:
-            s = hit(lo, s)
-    return alpha, rejected
+    rejected[hits] = True
+    after = hits + 1
+    return levels(lam, np.diff(after[after < n], prepend=0, append=n)), rejected
 
 
 def lord_levels(pvalues, schedule: LambdaSchedule):
@@ -246,8 +227,6 @@ def lond_levels(pvalues, schedule: LambdaSchedule):
     ``lond_step`` over the stream.
     """
     return _levels(_check_p_array(pvalues), schedule, _RULES["lond"])
-
-
 
 
 def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LambdaSchedule", "make_power_schedule", "make_adaptive_schedule"]
+__all__ = ["FieldError", "LambdaSchedule", "make_power_schedule", "make_adaptive_schedule"]
 
 _CHUNK = 4096
 
@@ -43,10 +43,18 @@ _CHUNK = 4096
 _ADAPTIVE_NORM = 2.1097428012368904
 
 
+class FieldError(ValueError):
+    """An invalid value; ``field`` names the field or argument at fault."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(message)
+        self.field = field_name
+
+
 def _check_q(q: float) -> float:
     q = float(q)
     if not 0.0 < q < 1.0:  # False at NaN too
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+        raise FieldError("q", f"q must lie in (0, 1), got {q}")
     return q
 
 
@@ -151,7 +159,7 @@ def make_power_schedule(nu: float, q: float) -> LambdaSchedule:
     """
     nu = float(nu)
     if not nu > 1.0:  # True at NaN too
-        raise ValueError(f"nu must exceed 1 (the series diverges otherwise), got {nu}")
+        raise FieldError("nu", f"nu must exceed 1 (the series diverges otherwise), got {nu}")
     q = _check_q(q)
     from scipy import special
 

@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import GGKernel, gg_sample, pvalue
 from .engines import bh_mask, lond_levels, lord_levels
 from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, fdp_fnp_from_mask, pool
-from .schedules import LambdaSchedule, make_adaptive_schedule, make_power_schedule
+from .schedules import FieldError, LambdaSchedule, make_adaptive_schedule, make_power_schedule
 
 __all__ = [
     "PROCEDURES",
@@ -38,14 +38,6 @@ __all__ = [
 ]
 
 PROCEDURES = ("lord", "lond", "bh")
-
-
-class FieldError(ValueError):
-    """An invalid ``MixtureConfig`` value; ``field`` names the field at fault."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(message)
-        self.field = field_name
 
 
 @dataclass(frozen=True)

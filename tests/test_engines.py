@@ -275,7 +275,7 @@ class TestRunStream:
                 assert full[:m] == prefix
 
     def test_block_boundaries_are_invisible(self):
-        # Streams longer than the window cap, with discoveries near chunk seams.
+        # Streams longer than a schedule chunk, with discoveries near chunk seams.
         sched = make_power_schedule(1.05, 0.1)
         rng = np.random.default_rng(55)
         p = rng.random(10000)
@@ -307,20 +307,9 @@ SCHEDULES = {
     "constant": ConstantSchedule(0.4),  # lond clamps at 1; no ``prefix``
 }
 
-# Settings of the shared core's private constants, so that every stream
-# meets one position per round (a plain fold), the whole rest per round
-# and small windows.
-CORE_MODES = {
-    "as shipped": {},
-    "one position per round": {"_GROW": 1},
-    "whole rest per round": {"_GROW": 10**9, "_WINDOW_MAX": 10**9},
-    "small windows": {"_GROW": 2, "_WINDOW_MAX": 5},
-}
-
 FOLDS = (("lord", lord_levels, fold_lord), ("lond", lond_levels, fold_lond))
 
-# Lengths at the window seams of a stream of acceptances (8, 8 + 64, 72 + 512)
-# and lengths that end inside a window (64, 192, 448), each +-1.
+# Short lengths, each +-1 around a few powers of two and their sums.
 SEAM_LENGTHS = [
     0, 1, 2, 7, 8, 9, 63, 64, 65, 71, 72, 73, 191, 192, 193, 447, 448, 449, 583, 584, 585,
 ]
@@ -330,15 +319,40 @@ def assert_core_matches_fold(p, sched):
     p = np.asarray(p, dtype=np.float64)
     for engine, levels, fold in FOLDS:
         decisions = fold(p, sched)
-        want_alpha = [d.alpha for d in decisions]
-        want_rejected = [d.rejected for d in decisions]
-        for mode, constants in CORE_MODES.items():
-            with pytest.MonkeyPatch.context() as mp:
-                for name, value in constants.items():
-                    mp.setattr(engines, name, value)
-                alpha, rejected = levels(p, sched)
-            assert alpha.tolist() == want_alpha, (engine, mode)
-            assert rejected.tolist() == want_rejected, (engine, mode)
+        alpha, rejected = levels(p, sched)
+        assert alpha.tolist() == [d.alpha for d in decisions], engine
+        assert rejected.tolist() == [d.rejected for d in decisions], engine
+
+
+def chain(rule, sched, n, zeros=0, break_every=0, tie=True):
+    """A discovery chain of ``rule``: each link's P-value is the level the rule gives it.
+
+    After ``zeros`` leading 0s, every link rejects and so sets the next
+    link's level; a 1 at every ``break_every``-th index breaks the chain,
+    which resumes at the level the break leaves. Links are exact ties, or
+    one ulp below their level (at least 0) without ``tie``.
+    """
+    p, t, d = [], 0, 0
+    for i in range(1, n + 1):
+        level = sched.lambda_at(i - t) if rule == "lord" else min(1.0, sched.lambda_at(i) * (d + 1))
+        if i <= zeros:
+            x = 0.0
+        elif break_every and i % break_every == 0:
+            x = 1.0
+        else:
+            x = level if tie else max(0.0, math.nextafter(level, 0.0))
+        if x <= level:
+            t, d = i, d + 1
+        p.append(x)
+    return p
+
+
+CHAIN_FAMILIES = {
+    "pure": {"tie": False},
+    "after 400 zeros": {"zeros": 400, "tie": False},
+    "broken by a 1 every 50": {"break_every": 50, "tie": False},
+    "exact ties": {},
+}
 
 
 @st.composite
@@ -374,9 +388,17 @@ class TestSharedCore:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_discovery_chain(self, name):
         # p_i = lambda_1: under lord every rejection enables the next, so
-        # the loop settles one index per round.
+        # every position is a candidate and the walk visits each one.
         sched = SCHEDULES[name]
         assert_core_matches_fold(np.full(300, sched.lambda_at(1)), sched)
+
+    @pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES))
+    @pytest.mark.parametrize("rule", ["lord", "lond"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    @pytest.mark.parametrize("n", [0, 1, 300, 5000])
+    def test_chain_families(self, n, name, rule, family):
+        sched = SCHEDULES[name]
+        assert_core_matches_fold(chain(rule, sched, n, **CHAIN_FAMILIES[family]), sched)
 
     def test_geometric_underflow(self):
         sched = SCHEDULES["geometric"]
@@ -387,8 +409,8 @@ class TestSharedCore:
         assert_core_matches_fold(np.zeros(1200), sched)
 
     def test_dense_stream_across_seams(self):
-        # Dense, then a long stretch of acceptances: windows shrink on
-        # discoveries and grow past several seams and the cap afterwards.
+        # Dense, then a long stretch of acceptances past a schedule chunk
+        # seam, which walks nothing.
         sched = SCHEDULES["power"]
         rng = np.random.default_rng(17)
         p = np.where(rng.random(5000) < 0.05, rng.random(5000) * 1e-4, rng.random(5000))
@@ -411,37 +433,45 @@ class TestSharedCore:
                 assert Counting.calls == 1
 
 
-def count_rounds(monkeypatch):
-    """Count the shared core's rounds: each round computes its window's levels once."""
-    rounds = []
-    for name, (level, state, hit) in list(engines._RULES.items()):
-        def counted(*args, level=level):
-            rounds.append(1)
-            return level(*args)
+def count_walked(monkeypatch):
+    """Record how many candidate positions each call of a rule's walk visits."""
+    walked = []
+    for name, (bound, walk, levels) in list(engines._RULES.items()):
+        def counted(lam, positions, values, walk=walk):
+            walked.append(len(positions))
+            return walk(lam, positions, values)
 
-        monkeypatch.setitem(engines._RULES, name, (counted, state, hit))
-    return rounds
+        monkeypatch.setitem(engines._RULES, name, (bound, counted, levels))
+    return walked
 
 
 class TestRounds:
-    """The loop's round count, not its time, pins how it covers both regimes."""
+    """One walk per call; the positions it visits, not its time, pin its cost."""
 
     @pytest.mark.parametrize("value", [0.0, 1.0])
     @pytest.mark.parametrize("levels", [lord_levels, lond_levels])
     def test_constant_streams_settle_in_few_rounds(self, monkeypatch, levels, value):
-        rounds = count_rounds(monkeypatch)
-        levels(np.full(10**5, value), SCHEDULES["power"])
-        assert 0 < len(rounds) <= 64
+        # Every 0 is a candidate; no 1 is one, so a stream of acceptances walks nothing.
+        walked = count_walked(monkeypatch)
+        n = 10**5
+        levels(np.full(n, value), SCHEDULES["power"])
+        assert walked == [n if value == 0.0 else 0]
 
     @pytest.mark.parametrize("levels", [lord_levels, lond_levels])
     def test_dense_mixture_needs_few_rounds_per_discovery(self, monkeypatch, levels):
         config = MixtureConfig(n=10**5, beta=0.2, r=0.6, seed=0, reps=1)
         p = pvalue(GGKernel(2.0), make_mixture(config, 0).statistics)
-        rounds = count_rounds(monkeypatch)
+        walked = count_walked(monkeypatch)
         _, rejected = levels(p, SCHEDULES["power"])
-        discoveries = int(rejected.sum())
-        assert discoveries > 3000
-        assert len(rounds) < discoveries / 20
+        assert int(rejected.sum()) > 3000
+        assert len(walked) == 1 and walked[0] < p.size / 5
+
+    def test_lord_chain_walks_every_position(self, monkeypatch):
+        sched = SCHEDULES["power"]
+        walked = count_walked(monkeypatch)
+        _, rejected = lord_levels(np.full(10**4, sched.lambda_at(1)), sched)
+        assert rejected.all()
+        assert walked == [10**4]
 
 
 def rederive_far(engine, p, start, far, head):

@@ -86,10 +86,10 @@ P_MESSAGE = r"^P-value must lie in \[0, 1\], got nan$"
 
 # Each range check that NaN must fail: (call, message, FieldError.field or None).
 NAN_CHECKS = {
-    "schedule q": (lambda: make_power_schedule(1.05, NAN), Q_MESSAGE, None),
-    "adaptive q": (lambda: make_adaptive_schedule(NAN), Q_MESSAGE, None),
+    "schedule q": (lambda: make_power_schedule(1.05, NAN), Q_MESSAGE, "q"),
+    "adaptive q": (lambda: make_adaptive_schedule(NAN), Q_MESSAGE, "q"),
     "schedule nu": (lambda: make_power_schedule(NAN, 0.1),
-                    r"^nu must exceed 1 \(the series diverges otherwise\), got nan$", None),
+                    r"^nu must exceed 1 \(the series diverges otherwise\), got nan$", "nu"),
     "config beta": (lambda: small_config(beta=NAN), r"^beta must lie in \(0, 1\), got nan$", "beta"),
     "config q": (lambda: small_config(q=NAN), Q_MESSAGE, "q"),
     "config nu": (lambda: small_config(nu=NAN), r"^nu must exceed 1, got nan$", "nu"),
