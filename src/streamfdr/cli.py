@@ -33,18 +33,9 @@ class ConfigError(Exception):
         self.key = key
 
 
-_SCALAR_KEYS = {
-    "n": int,
-    "beta": float,
-    "r": float,
-    "gamma": float,
-    "q": float,
-    "q_rule": str,
-    "seed": int,
-    "reps": int,
-    "schedule": str,
-    "nu": float,
-}
+# Every MixtureConfig field but the list ``procedures``, cast by its annotation.
+_CASTS = {"int": int, "float": float, "str": str}
+_SCALAR_KEYS = {f.name: _CASTS[f.type] for f in dataclasses.fields(MixtureConfig) if f.type in _CASTS}
 _LIST_KEYS = {"n_values": int, "r_values": float, "procedures": str}
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import FieldError
+
 __all__ = [
     "GGKernel",
     "AltPValueCDF",
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma >= 1.0):  # False at NaN too
+        raise FieldError("gamma", f"gamma must be finite and >= 1, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,9 @@ class GGKernel:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+            raise FieldError("scale", f"scale must be finite and > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ budget by the discovery count (``lond_step``). Both decide each
 hypothesis from past P-values only. On an unbounded stream the step is
 the whole cost, so a step returns a ``Decision`` named tuple (immutable,
 and about the cheapest record Python builds) and reads its level through
-``schedule.lambda_at``, one list index when the schedule's point-read
-slot holds the index's chunk. ``bh_reject`` is the classic static
-step-up rule over a complete P-value vector, used as a non-sequential
-baseline.
+the state's own chunk cursor (``schedules._ChunkCursor``), one memoryview
+index while the index stays in the chunk read last. ``bh_reject`` is the
+classic static step-up rule over a complete P-value vector, used as a
+non-sequential baseline.
 
 ``run_stream`` and the ``*_levels`` array forms compute exactly what
 folding the step functions would, through one core shared by both
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedules import LambdaSchedule, _check_q
+from .schedules import LambdaSchedule, _check_q, _ChunkCursor
 
 __all__ = [
     "LordState",
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 @dataclass
-class LordState:
+class LordState(_ChunkCursor):
     """Per-stream state: 1-based next index and last discovery (0 = none)."""
 
     next_index: int = 1
@@ -63,7 +63,7 @@ class LordState:
 
 
 @dataclass
-class LondState:
+class LondState(_ChunkCursor):
     """Per-stream state: 1-based next index and discovery count."""
 
     next_index: int = 1
@@ -111,7 +111,7 @@ def lord_step(state: LordState, schedule: LambdaSchedule, p: float) -> Decision:
     """
     p = _check_p(p)
     i = state.next_index
-    alpha = schedule.lambda_at(i - state.last_discovery)
+    alpha = state._lambda(schedule, i - state.last_discovery)
     rejected = p <= alpha
     if rejected:
         state.last_discovery = i
@@ -127,7 +127,7 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
     """
     p = _check_p(p)
     i = state.next_index
-    alpha = schedule.lambda_at(i) * (state.discoveries + 1)
+    alpha = state._lambda(schedule, i) * (state.discoveries + 1)
     alpha = alpha if alpha < 1.0 else 1.0  # min(1.0, alpha) without the call
     rejected = p <= alpha
     if rejected:

@@ -11,15 +11,15 @@ infinite sum equals the total FDR budget ``q``. Two kinds are provided:
 Values are built 4096 at a time by one expression. Bulk reads from index
 1 grow a contiguous read-only prefix lambda_1 .. lambda_m (at least
 doubling it) and get views of it; other bulk reads copy from the prefix
-or from freshly built chunks. Point reads past the prefix own one slot
-holding the chunk read last; from its second read on, as a Python list
-(about 130 KB, against 32 KB as an array), so a hit is one list index
-with no numpy scalar. A stream thus builds each chunk once and holds one
-chunk however long it runs, and streams reading different chunks in turn
-pay one build per read, not a build and a list. Point reads inside the
-prefix read it and leave the slot alone.
-``slice`` and ``prefix`` return read-only arrays, and lookups and slices
-give the same bits in any order.
+or from freshly built chunks. The prefix is the only thing a schedule
+writes after construction, so ``lambda_at`` keeps nothing: past the
+prefix each call builds its chunk. A reader that steps through the
+values keeps its own cursor (``_ChunkCursor``, which the engine states
+inherit): a copy of the one chunk it read last, refilled through
+``slice`` when it moves on, so a stream builds each chunk once and holds
+one chunk however long it runs, and streams sharing a schedule never
+evict each other's chunk. ``slice`` and ``prefix`` return read-only
+arrays, and lookups and slices give the same bits in any order.
 
 Only ``make_power_schedule`` needs scipy (for ``zeta``), and it imports
 ``scipy.special`` on its first call; adaptive schedules never load scipy,
@@ -68,17 +68,52 @@ def _index(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_nu(nu: float) -> float:
+    nu = float(nu)
+    if not nu > 1.0:  # True at NaN too
+        raise FieldError("nu", f"nu must exceed 1 (the series diverges otherwise), got {nu}")
+    return nu
+
+
+class _ChunkCursor:
+    """Point reads for one reader: ``(schedule, lo, hi, values)`` of the chunk read last.
+
+    ``values`` is a memoryview of an owned copy of lambda_lo ..
+    lambda_{hi-1} (32 KB). The engine states inherit the cursor. It is a
+    class-level default shadowed per instance, not a field, so it stays
+    out of ``==``, ``repr`` and ``asdict``; ``__getstate__`` drops it from
+    pickles and copies (a memoryview cannot be pickled), which refill on
+    their first read. A miss refills through ``schedule.slice``, so any
+    object with that method serves as a schedule.
+    """
+
+    _cursor = (None, 1, 1, None)
+
+    def _lambda(self, schedule, i: int) -> float:
+        """lambda_i of ``schedule``, i >= 1: one memoryview index on a hit."""
+        if not (type(i) is int and i >= 1):
+            i = _index("index", i, 1)
+        owner, lo, hi, values = self._cursor
+        if owner is not schedule or not lo <= i < hi:
+            lo = i - (i - 1) % _CHUNK
+            hi = lo + _CHUNK
+            # A copy: a view of the prefix would keep the whole prefix alive.
+            values = memoryview(np.array(schedule.slice(lo, hi), dtype=np.float64))
+            self._cursor = (schedule, lo, hi, values)
+        return values[i - lo]
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "_cursor"}
+
+
 @dataclass
 class LambdaSchedule:
     """A concrete significance-budget sequence.
 
     ``normalizer`` is the constant L that makes the infinite sum equal
-    ``q``. The point-read slot holds ``(c, list)`` for chunk ``c``, or
-    ``(~c, array)`` after a single read of it. Safe to share without a
-    lock: the prefix and the slot (a pair, read once) are replaced whole
-    with correct values and never written once published, so a race
-    costs at most a rebuild, and no reader pairs one chunk's number with
-    another's.
+    ``q``. Safe to share without a lock: the prefix, the one attribute
+    written after construction, is replaced whole with correct values
+    and never written once published.
     """
 
     kind: str
@@ -87,7 +122,6 @@ class LambdaSchedule:
     normalizer: float
     # An empty float64 array, read-only because bytes are immutable.
     _prefix: np.ndarray = field(default_factory=lambda: np.frombuffer(b""), repr=False, compare=False)
-    _last: tuple = field(default=(None, None), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "adaptive"):
@@ -103,28 +137,18 @@ class LambdaSchedule:
                 else self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2))
 
     def lambda_at(self, i: int) -> float:
-        """The i-th budget value, i >= 1."""
+        """The i-th budget value, i >= 1.
+
+        A point read: inside the prefix it reads the prefix, past it each
+        call builds the index's 4096-value chunk (20-30 us on a 2-vCPU x86
+        host, against about 1 us for a whole step) and keeps nothing. For
+        runs of values use ``slice``/``prefix``, or the steps, whose state
+        keeps the chunk it reads.
+        """
         if not (type(i) is int and i >= 1):
             i = _index("index", i, 1)
         c, offset = divmod(i - 1, _CHUNK)
-        key, values = self._last
-        if key == c:
-            return values[offset]
-        prefix = self._prefix
-        if i <= prefix.size:
-            # No copy into the slot, so streams reading different chunks
-            # of the prefix in turn do not rebuild the slot on every step.
-            return float(prefix[i - 1])
-        if key == ~c:
-            # A second read of the chunk: worth the list (tolist() costs
-            # about 3 builds, which streams reading different chunks in
-            # turn would otherwise pay on every step).
-            values = values.tolist()
-            self._last = (c, values)
-            return values[offset]
-        values = self._chunk(c)
-        self._last = (~c, values)
-        return float(values[offset])
+        return float(self._chunk(c)[offset])
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
         """Values lambda_lo .. lambda_{hi-1} as a read-only array (lo >= 1).
@@ -157,9 +181,7 @@ def make_power_schedule(nu: float, q: float) -> LambdaSchedule:
 
     ``nu`` must exceed 1 for the series to converge; L = q / zeta(nu).
     """
-    nu = float(nu)
-    if not nu > 1.0:  # True at NaN too
-        raise FieldError("nu", f"nu must exceed 1 (the series diverges otherwise), got {nu}")
+    nu = _check_nu(nu)
     q = _check_q(q)
     from scipy import special
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import GGKernel, gg_sample, pvalue
+from .distributions import GGKernel, _check_gamma, gg_sample, pvalue
 from .engines import bh_mask, lond_levels, lord_levels
 from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, fdp_fnp_from_mask, pool
-from .schedules import FieldError, LambdaSchedule, make_adaptive_schedule, make_power_schedule
+from .schedules import (FieldError, LambdaSchedule, _check_nu, _check_q, make_adaptive_schedule,
+                        make_power_schedule)
 
 __all__ = [
     "PROCEDURES",
@@ -63,8 +64,7 @@ class MixtureConfig:
             raise FieldError("beta", f"beta must lie in (0, 1), got {self.beta}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise FieldError("r", f"r must be finite and >= 0, got {self.r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise FieldError("gamma", f"gamma must be finite and >= 1, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not math.isfinite(self.mu):
             # The larger of the two is the absurd value.
             raise FieldError(
@@ -76,8 +76,7 @@ class MixtureConfig:
                 "q_rule", f"q_rule must be 'fixed' or 'inverse-log', got {self.q_rule!r}"
             )
         if self.q_rule == "fixed":
-            if not 0.0 < self.q < 1.0:
-                raise FieldError("q", f"q must lie in (0, 1), got {self.q}")
+            _check_q(self.q)
         elif self.n < 3:
             raise FieldError("n", f"the inverse-log rule needs n >= 3 so q < 1, got n = {self.n}")
         if self.seed < 0:
@@ -97,8 +96,8 @@ class MixtureConfig:
             raise FieldError(
                 "schedule", f"schedule must be 'power' or 'adaptive', got {self.schedule!r}"
             )
-        if self.schedule == "power" and not self.nu > 1.0:
-            raise FieldError("nu", f"nu must exceed 1, got {self.nu}")
+        if self.schedule == "power":
+            _check_nu(self.nu)
 
     @property
     def epsilon(self) -> float:

@@ -1,21 +1,25 @@
 """Budget schedule tests: normalization against partial-sum oracles."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfdr import LambdaSchedule, make_adaptive_schedule, make_power_schedule, schedules
+from streamfdr import (LambdaSchedule, LondState, LordState, lond_step, lord_step,
+                       make_adaptive_schedule, make_power_schedule, schedules)
 
 CHUNK = schedules._CHUNK
-# The chunks either side of index 1e7: 2441 is the last to start at or
-# below it, (10**7 - 1) // CHUNK. Deep reads are checked across this seam.
-LAST_CACHED = 2441
-FIRST_FAR = LAST_CACHED + 1
+# Two deep chunks and the seam between them: 2441 holds index 1e7,
+# (10**7 - 1) // CHUNK, and the next chunk starts past it.
+CHUNK_AT_1E7 = 2441
+CHUNK_PAST_1E7 = CHUNK_AT_1E7 + 1
 MAKERS = {
     "power": lambda: make_power_schedule(1.05, 0.1),
     "adaptive": lambda: make_adaptive_schedule(0.1),
@@ -193,7 +197,7 @@ class TestLambdaAccess:
         for sched in (make_power_schedule(1.05, 0.1), make_adaptive_schedule(0.1)):
             assert np.all(np.diff(sched.prefix(10**6)) <= 0)
 
-    def test_values_beyond_cache_limit(self):
+    def test_values_far_past_the_prefix(self):
         sched = make_power_schedule(2.0, 0.1)
         i = 10**7 + 12345
         expected = sched.normalizer * float(np.float64(i)) ** -2.0
@@ -225,12 +229,12 @@ class TestLambdaAccess:
 
 
 class TestFarPath:
-    """Point reads and slices past the prefix: only the chunk built last is kept."""
+    """Point reads, steps and slices past the prefix; the schedule keeps none of their chunks."""
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_far_reads_agree_bitwise(self, kind):
         sched = MAKERS[kind]()
-        for c in (LAST_CACHED, FIRST_FAR, (2 * 10**7 - 1) // CHUNK):
+        for c in (CHUNK_AT_1E7, CHUNK_PAST_1E7, (2 * 10**7 - 1) // CHUNK):
             lo = c * CHUNK + 1
             window = sched.slice(lo - 2, lo + CHUNK + 2)  # both seams of chunk c
             for i in (lo - 2, lo - 1, lo, lo + CHUNK // 2, lo + CHUNK - 1, lo + CHUNK, lo + CHUNK + 1):
@@ -241,48 +245,55 @@ class TestFarPath:
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_far_chunks_are_not_cached(self, kind):
         sched = MAKERS[kind]()
+        attributes = dict(vars(sched))
         sched.lambda_at(10**7)
-        for i in (10**7 + 1, (FIRST_FAR + 1) * CHUNK, 2 * 10**7, 10**9, 10**9 - 1):
+        for i in (10**7 + 1, (CHUNK_PAST_1E7 + 1) * CHUNK, 2 * 10**7, 10**9, 10**9 - 1):
             sched.lambda_at(i)
         sched.slice(2 * 10**7, 2 * 10**7 + 3 * CHUNK)
-        assert sched._prefix.size == 0
-        # The slot holds the chunk read last by point reads, read twice so
-        # as a list of floats; slices leave it alone.
-        c, values = sched._last
-        assert c == (10**9 - 1) // CHUNK
-        assert type(values) is list and len(values) == CHUNK and all(type(v) is float for v in values)
-        assert bits(values) == bits(MAKERS[kind]().slice(c * CHUNK + 1, (c + 1) * CHUNK + 1))
-
-    def test_alternating_far_reads_build_no_lists(self, monkeypatch):
-        # Readers of two far chunks in turn pay one build per read; the
-        # chunk becomes a list only when read twice in a row.
-        sched = make_power_schedule(1.05, 0.1)
-        builds = counting_builds(monkeypatch)
-        a, b = FIRST_FAR * CHUNK + 1, (FIRST_FAR + 7) * CHUNK + 5
+        state = LondState(next_index=10**9)
         for _ in range(3):
-            for i in (a, b):
-                assert type(sched.lambda_at(i)) is float
-                c, values = sched._last
-                assert c == ~((i - 1) // CHUNK) and isinstance(values, np.ndarray)
-        assert builds == [a, b - 4] * 3
-        sched.lambda_at(b + 1)
-        assert sched._last[0] == (b - 1) // CHUNK and type(sched._last[1]) is list and len(builds) == 6
+            lond_step(state, sched, 0.5)
+        # Point reads, far slices and steps write nothing to the schedule:
+        # the prefix is still the empty one, and no attribute was added.
+        assert sched._prefix.size == 0
+        assert vars(sched).keys() == attributes.keys()
+        assert all(vars(sched)[name] is value for name, value in attributes.items())
+
+    def test_streams_in_turn_build_each_chunk_once(self, monkeypatch):
+        # Each state keeps its own chunk, so two streams stepped in turn on
+        # one schedule do not evict each other's.
+        sched = make_power_schedule(1.05, 0.1)
+        starts, steps = (2 * 10**7, 3 * 10**7), 3 * CHUNK
+        want = [bits(make_power_schedule(1.05, 0.1).slice(start, start + steps)) for start in starts]
+        builds = counting_builds(monkeypatch)
+        states, alphas = [LondState(next_index=start) for start in starts], ([], [])
+        for _ in range(steps):
+            for state, got in zip(states, alphas):
+                got.append(lond_step(state, sched, 0.5).alpha)
+        assert [bits(got) for got in alphas] == want  # no discovery, so alpha_i = lambda_i
+        # At most one chunk per 4096 steps each: the chunks the streams enter.
+        assert sorted(builds) == [c * CHUNK + 1 for start in starts
+                                  for c in range((start - 1) // CHUNK, (start + steps - 2) // CHUNK + 1)]
 
     def test_sequential_far_read_builds_each_chunk_once(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
+        lo = CHUNK_PAST_1E7 * CHUNK + 1
+        want = bits(make_power_schedule(1.05, 0.1).slice(lo, lo + 3 * CHUNK))
         builds = counting_builds(monkeypatch)
-        lo = FIRST_FAR * CHUNK + 1
-        for i in range(lo, lo + 3 * CHUNK):
-            sched.lambda_at(i)
+        state = LordState(next_index=lo)
+        # p = 1 accepts at every level, so lord reads lambda_i at each index.
+        decisions = [lord_step(state, sched, 1.0) for _ in range(3 * CHUNK)]
         assert builds == [lo, lo + CHUNK, lo + 2 * CHUNK]
+        assert bits([d.alpha for d in decisions]) == want
+        # The state holds the chunk it read last; the schedule keeps nothing.
+        assert bits(state._cursor[3]) == want[2 * CHUNK :] and sched._prefix.size == 0
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_threads_share_the_far_slot(self, kind):
-        # Readers of different far chunks (more of them than cores) replace
-        # each other's slot entry over and over; each must still read its
-        # own chunk's values.
+        # Readers of different far chunks (more of them than cores) point-read
+        # one schedule at once; each must read its own chunk's values.
         sched = MAKERS[kind]()
-        starts = tuple(FIRST_FAR * CHUNK + 1 + k * 1000 * CHUNK for k in range(4))
+        starts = tuple(CHUNK_PAST_1E7 * CHUNK + 1 + k * 1000 * CHUNK for k in range(4))
         offsets = (0, 1, CHUNK // 2, CHUNK - 1)
         want = {lo: [MAKERS[kind]().lambda_at(lo + k) for k in offsets] for lo in starts}
         barrier = threading.Barrier(len(starts))
@@ -332,7 +343,7 @@ def bits(values):
 
 
 class TestStore:
-    """The read-only prefix grown by bulk reads and the one-chunk slot for the rest."""
+    """The read-only prefix grown by bulk reads, the one store a schedule writes."""
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_returned_arrays_are_read_only(self, kind):
@@ -373,16 +384,22 @@ class TestStore:
             assert n <= sched._prefix.size <= 2 * n + CHUNK
         assert builds == [c * CHUNK + 1 for c in range(sched._prefix.size // CHUNK)]
 
-    def test_point_reads_inside_the_prefix_leave_the_slot(self, monkeypatch):
-        # Streams reading different chunks of the prefix in turn would
-        # otherwise rebuild the slot on every step.
+    def test_point_reads_inside_the_prefix_build_nothing(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
         head = bits(sched.prefix(3 * CHUNK))
         builds = counting_builds(monkeypatch)
         for i in (1, 2 * CHUNK + 1, 2, 3 * CHUNK, CHUNK + 7):
             got = sched.lambda_at(i)
             assert type(got) is float and bits([got]) == head[i - 1 : i]
-        assert sched._last == (None, None) and builds == []
+        # Nor do steps: their cursors copy from the prefix.
+        lord, lond = LordState(), LondState(next_index=CHUNK - 2)
+        steps = range(2 * CHUNK)
+        alphas = [(lord_step(lord, sched, 1.0).alpha, lond_step(lond, sched, 1.0).alpha) for _ in steps]
+        assert bits([a for a, _ in alphas]) == head[: 2 * CHUNK]
+        assert bits([a for _, a in alphas]) == head[CHUNK - 3 : 3 * CHUNK - 3]
+        assert builds == [] and sched._prefix.size == 3 * CHUNK
+        # The cursors own their chunk: a view would keep the whole prefix alive.
+        assert lord._cursor[3].obj.base is None and lond._cursor[3].obj.base is None
 
     def test_growth_at_least_doubles(self):
         # Copying stays linear: reading one more chunk at a time publishes a
@@ -399,7 +416,7 @@ class TestStore:
     def test_mixed_access_orders_agree_bitwise(self, kind):
         make = MAKERS[kind]
         points = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 10 * CHUNK + 5,
-                  FIRST_FAR * CHUNK + 1, 2 * 10**7)
+                  CHUNK_PAST_1E7 * CHUNK + 1, 2 * 10**7)
         want = {i: bits([make().lambda_at(i)]) for i in points}
         head = bits(make().prefix(12 * CHUNK))
         for order in range(3):
@@ -454,6 +471,61 @@ class TestStore:
         assert wrong == []
 
 
+class TestCursor:
+    """The chunk cursor each engine state keeps for its point reads."""
+
+    @pytest.mark.parametrize("start", [1, CHUNK - 4, CHUNK_PAST_1E7 * CHUNK + 1])
+    def test_one_state_on_two_schedules_reads_each(self, start):
+        # The cursor's hit is keyed on the schedule too, not only on the chunk.
+        schedules_ = (make_power_schedule(1.05, 0.1), make_adaptive_schedule(0.1))
+        lord, lond = LordState(next_index=start), LondState(next_index=start)
+        for k in range(10):
+            sched = schedules_[k % 2]
+            i = lord.next_index
+            assert lord_step(lord, sched, 1.0).alpha == sched.lambda_at(i)
+            assert lond_step(lond, sched, 1.0).alpha == sched.lambda_at(i)
+
+    @pytest.mark.parametrize("cls, fields, bad", [
+        (LordState, {"next_index": 5, "last_discovery": 5}, "0"),
+        (LordState, {"next_index": 5, "last_discovery": 9}, "-4"),
+        (LondState, {"next_index": 0}, "0"),
+        (LondState, {"next_index": 2.5}, "2.5"),
+    ])
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_steps_name_a_bad_index(self, cls, fields, bad, stepped):
+        sched = make_power_schedule(1.05, 0.1)
+        step = lord_step if cls is LordState else lond_step
+        state = cls(**fields)
+        if stepped:  # the cursor then holds lambda_1 .. lambda_4096, which a bad index must miss
+            state = cls()
+            step(state, sched, 0.5)
+            vars(state).update(fields)
+        with pytest.raises(ValueError, match=rf"^index must be an integer >= 1, got {bad}$"):
+            step(state, sched, 0.5)
+
+    @pytest.mark.parametrize("start", [3, 2 * 10**7])
+    def test_stepped_states_copy_and_pickle(self, start):
+        sched = make_adaptive_schedule(0.1)
+        lord, lond = LordState(next_index=start), LondState(next_index=start)
+        for p in (0.5, 0.0, 0.5):
+            lord_step(lord, sched, p)
+            lond_step(lond, sched, p)
+        # Fields, equality, repr and asdict are those of plain dataclasses.
+        assert repr(lord) == f"LordState(next_index={start + 3}, last_discovery={start + 1})"
+        assert repr(lond) == f"LondState(next_index={start + 3}, discoveries=1)"
+        assert asdict(lord) == {"next_index": start + 3, "last_discovery": start + 1}
+        assert astuple(lond) == (start + 3, 1)
+        for step, state in ((lord_step, lord), (lond_step, lond)):
+            twins = [pickle.loads(pickle.dumps(state)), copy.deepcopy(state), copy.copy(state)]
+            for twin in twins:
+                assert twin == state and repr(twin) == repr(state) and asdict(twin) == asdict(state)
+                assert "_cursor" not in vars(twin)  # the chunk view stays behind
+            for p in (0.0, 0.5, 0.0):  # and the twins decide as the original
+                want = step(state, sched, p)
+                assert [step(twin, sched, p) for twin in twins] == [want] * 3
+            assert twins == [state] * 3
+
+
 class TestIndexChecks:
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), 2.5, 0, -3, 0.0, "3", None])
     def test_lambda_at_names_the_index(self, bad):
@@ -480,3 +552,7 @@ class TestIndexChecks:
         assert sched.lambda_at(3.0) == sched.lambda_at(np.int64(3)) == sched.lambda_at(3)
         assert [type(sched.lambda_at(i)) for i in (3, np.int64(3), 3.0)] == [float] * 3
         assert bits(sched.slice(np.int64(2), 6.0)) == bits(sched.prefix(5)[1:])
+        for start in (np.int64(7), 7.0):  # and so are the fields of a state
+            state, plain = LondState(next_index=start), LondState(next_index=7)
+            for _ in range(3):
+                assert lond_step(state, sched, 0.5).alpha == lond_step(plain, sched, 0.5).alpha

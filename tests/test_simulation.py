@@ -83,16 +83,21 @@ class TestConfigValidation:
 NAN = math.nan
 Q_MESSAGE = r"^q must lie in \(0, 1\), got nan$"
 P_MESSAGE = r"^P-value must lie in \[0, 1\], got nan$"
+GAMMA_MESSAGE = r"^gamma must be finite and >= 1, got nan$"
+NU_MESSAGE = r"^nu must exceed 1 \(the series diverges otherwise\), got nan$"
 
 # Each range check that NaN must fail: (call, message, FieldError.field or None).
 NAN_CHECKS = {
     "schedule q": (lambda: make_power_schedule(1.05, NAN), Q_MESSAGE, "q"),
     "adaptive q": (lambda: make_adaptive_schedule(NAN), Q_MESSAGE, "q"),
-    "schedule nu": (lambda: make_power_schedule(NAN, 0.1),
-                    r"^nu must exceed 1 \(the series diverges otherwise\), got nan$", "nu"),
+    "schedule nu": (lambda: make_power_schedule(NAN, 0.1), NU_MESSAGE, "nu"),
     "config beta": (lambda: small_config(beta=NAN), r"^beta must lie in \(0, 1\), got nan$", "beta"),
     "config q": (lambda: small_config(q=NAN), Q_MESSAGE, "q"),
-    "config nu": (lambda: small_config(nu=NAN), r"^nu must exceed 1, got nan$", "nu"),
+    "config gamma": (lambda: small_config(gamma=NAN), GAMMA_MESSAGE, "gamma"),
+    "kernel gamma": (lambda: GGKernel(NAN), GAMMA_MESSAGE, "gamma"),
+    "kernel scale": (lambda: GGKernel(2.0, scale=NAN),
+                     r"^scale must be finite and > 0, got nan$", "scale"),
+    "config nu": (lambda: small_config(nu=NAN), NU_MESSAGE, "nu"),
     "mixture epsilon": (lambda: mixture_pvalue_cdf(AltPValueCDF(GGKernel(2.0), 1.0), NAN, 0.5),
                         r"^epsilon must lie in \[0, 1\], got nan$", None),
     "lord_step p": (lambda: lord_step(LordState(), make_adaptive_schedule(0.1), NAN), P_MESSAGE, None),
