@@ -6,10 +6,10 @@ budget by the discovery count (``lond_step``). Both decide each
 hypothesis from past P-values only. On an unbounded stream the step is
 the whole cost, so a step returns a ``Decision`` named tuple (immutable,
 and about the cheapest record Python builds) and reads its level through
-the state's own chunk cursor (``schedules._ChunkCursor``), one memoryview
-index while the index stays in the chunk read last. ``bh_reject`` is the
-classic static step-up rule over a complete P-value vector, used as a
-non-sequential baseline.
+the state's own cursor (``schedules._ChunkCursor``), one memoryview index
+while the index stays in the window of values read last. ``bh_reject``
+is the classic static step-up rule over a complete P-value vector, used
+as a non-sequential baseline.
 
 ``run_stream`` and the ``*_levels`` array forms compute exactly what
 folding the step functions would, through one core shared by both

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _index
+
 __all__ = [
     "TruthLabels",
     "MetricsRecord",
@@ -55,6 +57,7 @@ class TruthLabels:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
+        object.__setattr__(self, "n", _index("n", self.n, 0))
         idx = self.false_null_indices
         arr = np.asarray(idx if isinstance(idx, np.ndarray) else list(idx), dtype=np.float64)
         ok = (arr >= 1) & (arr <= self.n) & (np.floor(arr) == arr)  # False at NaN too
@@ -139,7 +142,8 @@ def horizon_grid(n: int, floor: int = 10) -> list[int]:
     """Logarithmic evaluation horizons ceil(n / 2**k), descending to ``floor``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    grid = {-(-n // 2**k) for k in range(int(n).bit_length() + 1)}  # ceil(n / 2**k), down to 1
+    n = _index("n", n, 1)
+    grid = {-(-n // 2**k) for k in range(n.bit_length() + 1)}  # ceil(n / 2**k), down to 1
     return sorted(h for h in grid if h >= floor) or [n]
 
 
@@ -153,6 +157,7 @@ def fdp_at_horizons(rejected: np.ndarray, signal: np.ndarray, horizons) -> np.nd
     for k, h in enumerate(horizons):
         if not 1 <= h <= rejected.size:
             raise ValueError(f"horizon {h} outside 1..{rejected.size}")
+        h = _index("horizon", h, 1)
         r = cum_rej[h - 1]
         out[k] = cum_false[h - 1] / r if r else 0.0
     return out

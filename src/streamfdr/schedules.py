@@ -8,18 +8,21 @@ infinite sum equals the total FDR budget ``q``. Two kinds are provided:
   yet decays slower than every power ``i**-nu`` with ``nu > 1``, so it
   needs no tuning of ``nu``.
 
-Values are built 4096 at a time by one expression. Bulk reads from index
+A value is a function of its index alone: one expression over
+``arange(lo, hi)`` builds any range, and numpy's elementwise loops give
+each element the same bits wherever it sits in the array, so a value
+reads the same through any call and in any order. Bulk reads from index
 1 grow a contiguous read-only prefix lambda_1 .. lambda_m (at least
-doubling it) and get views of it; other bulk reads copy from the prefix
-or from freshly built chunks. The prefix is the only thing a schedule
-writes after construction, so ``lambda_at`` keeps nothing: past the
-prefix each call builds its chunk. A reader that steps through the
-values keeps its own cursor (``_ChunkCursor``, which the engine states
-inherit): a copy of the one chunk it read last, refilled through
-``slice`` when it moves on, so a stream builds each chunk once and holds
-one chunk however long it runs, and streams sharing a schedule never
-evict each other's chunk. ``slice`` and ``prefix`` return read-only
-arrays, and lookups and slices give the same bits in any order.
+doubling it) and get views of it; other bulk reads build their range.
+The prefix is the only thing a schedule writes after construction, so
+``lambda_at`` keeps nothing: past the prefix each call builds its one
+value. A reader that steps through the values keeps its own cursor
+(``_ChunkCursor``, which the engine states inherit): a copy of the 4096
+values from the index it last missed at, refilled through ``slice``
+when it moves past them, so a stream builds each value once and holds
+one window however long it runs, and streams sharing a schedule never
+evict each other's window. ``slice`` and ``prefix`` return read-only
+arrays.
 
 Only ``make_power_schedule`` needs scipy (for ``zeta``), and it imports
 ``scipy.special`` on its first call; adaptive schedules never load scipy,
@@ -59,13 +62,13 @@ def _check_q(q: float) -> float:
 
 
 def _index(name: str, value, least: int) -> int:
-    """``value`` as an int; a ``ValueError`` naming it unless a whole number >= least."""
+    """``value`` as an int; a ``FieldError`` naming it unless a whole number >= least."""
     try:
         if (whole := int(value)) == value >= least:
             return whole
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    raise FieldError(name, f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_nu(nu: float) -> float:
@@ -76,10 +79,11 @@ def _check_nu(nu: float) -> float:
 
 
 class _ChunkCursor:
-    """Point reads for one reader: ``(schedule, lo, hi, values)`` of the chunk read last.
+    """Point reads for one reader: ``(schedule, lo, hi, values)`` of the window read last.
 
     ``values`` is a memoryview of an owned copy of lambda_lo ..
-    lambda_{hi-1} (32 KB). The engine states inherit the cursor. It is a
+    lambda_{hi-1}, the ``_CHUNK`` values (32 KB) from the index that
+    last missed. The engine states inherit the cursor. It is a
     class-level default shadowed per instance, not a field, so it stays
     out of ``==``, ``repr`` and ``asdict``; ``__getstate__`` drops it from
     pickles and copies (a memoryview cannot be pickled), which refill on
@@ -95,8 +99,7 @@ class _ChunkCursor:
             i = _index("index", i, 1)
         owner, lo, hi, values = self._cursor
         if owner is not schedule or not lo <= i < hi:
-            lo = i - (i - 1) % _CHUNK
-            hi = lo + _CHUNK
+            lo, hi = i, i + _CHUNK
             # A copy: a view of the prefix would keep the whole prefix alive.
             values = memoryview(np.array(schedule.slice(lo, hi), dtype=np.float64))
             self._cursor = (schedule, lo, hi, values)
@@ -111,9 +114,10 @@ class LambdaSchedule:
     """A concrete significance-budget sequence.
 
     ``normalizer`` is the constant L that makes the infinite sum equal
-    ``q``. Safe to share without a lock: the prefix, the one attribute
-    written after construction, is replaced whole with correct values
-    and never written once published.
+    ``q``. Each value is a function of its index alone, and any range
+    is built directly. Safe to share without a lock: the prefix, the one
+    attribute written after construction, is replaced whole with correct
+    values and never written once published.
     """
 
     kind: str
@@ -127,12 +131,9 @@ class LambdaSchedule:
         if self.kind not in ("power", "adaptive"):
             raise ValueError(f"kind must be 'power' or 'adaptive', got {self.kind!r}")
 
-    def _chunk(self, c: int) -> np.ndarray:
-        """Values of chunk ``c``: a view of the prefix, else freshly built."""
-        prefix = self._prefix
-        if (c + 1) * _CHUNK <= prefix.size:
-            return prefix[c * _CHUNK : (c + 1) * _CHUNK]
-        i = np.arange(c * _CHUNK + 1, (c + 1) * _CHUNK + 1, dtype=np.float64)
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        """lambda_lo .. lambda_{hi-1}, freshly built by the schedule's expression."""
+        i = np.arange(lo, hi, dtype=np.float64)
         return (self.normalizer * i ** (-self.nu) if self.kind == "power"
                 else self.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2))
 
@@ -140,36 +141,35 @@ class LambdaSchedule:
         """The i-th budget value, i >= 1.
 
         A point read: inside the prefix it reads the prefix, past it each
-        call builds the index's 4096-value chunk (20-30 us on a 2-vCPU x86
-        host, against about 1 us for a whole step) and keeps nothing. For
-        runs of values use ``slice``/``prefix``, or the steps, whose state
-        keeps the chunk it reads.
+        call builds the one value (2-4 us on a 2-vCPU x86 host) and keeps
+        nothing. For runs of values use ``slice``/``prefix``, or the
+        steps, whose state keeps the window it reads.
         """
-        if not (type(i) is int and i >= 1):
-            i = _index("index", i, 1)
-        c, offset = divmod(i - 1, _CHUNK)
-        return float(self._chunk(c)[offset])
+        i = _index("index", i, 1)
+        prefix = self._prefix
+        return float(prefix[i - 1] if i <= prefix.size else self._values(i, i + 1)[0])
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
         """Values lambda_lo .. lambda_{hi-1} as a read-only array (lo >= 1).
 
         A range inside the prefix is a view of it. From ``lo == 1`` the
         prefix first grows to cover the range, at least doubling; any
-        other range is copied from its chunks and leaves the prefix as is.
+        other range is built and leaves the prefix as is.
         """
         lo = _index("lo", lo, 1)
         hi = _index("hi", hi, lo)
         prefix = self._prefix
-        if hi - 1 <= prefix.size or hi == lo:
+        if hi - 1 <= prefix.size:
             return prefix[lo - 1 : hi - 1]
-        first, stop = (lo - 1) // _CHUNK, (hi - 2) // _CHUNK + 1
-        if lo == 1:
-            stop = max(stop, 2 * prefix.size // _CHUNK)
-        values = np.concatenate([self._chunk(c) for c in range(first, stop)])
-        values.flags.writeable = False
-        if lo == 1:
-            self._prefix = values
-        return values[lo - 1 - first * _CHUNK : hi - 1 - first * _CHUNK]
+        if lo > 1:
+            values = self._values(lo, hi)
+            values.flags.writeable = False
+            return values
+        size = prefix.size
+        grown = np.concatenate([prefix, self._values(size + 1, max(hi - 1, 2 * size) + 1)])
+        grown.flags.writeable = False
+        self._prefix = grown
+        return grown[: hi - 1]
 
     def prefix(self, n: int) -> np.ndarray:
         """lambda_1 .. lambda_n as a read-only view of the grown prefix."""

@@ -24,8 +24,8 @@ import numpy as np
 from .distributions import GGKernel, _check_gamma, gg_sample, pvalue
 from .engines import bh_mask, lond_levels, lord_levels
 from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, fdp_fnp_from_mask, pool
-from .schedules import (FieldError, LambdaSchedule, _check_nu, _check_q, make_adaptive_schedule,
-                        make_power_schedule)
+from .schedules import (FieldError, LambdaSchedule, _check_nu, _check_q, _index,
+                        make_adaptive_schedule, make_power_schedule)
 
 __all__ = [
     "PROCEDURES",
@@ -43,7 +43,11 @@ PROCEDURES = ("lord", "lond", "bh")
 
 @dataclass(frozen=True)
 class MixtureConfig:
-    """One experiment cell: model, budget rule, seeding and procedures."""
+    """One experiment cell: model, budget rule, seeding and procedures.
+
+    ``n``, ``seed`` and ``reps`` take any whole number and are stored as
+    ``int``; other values raise a ``FieldError`` naming the field.
+    """
 
     n: int
     beta: float
@@ -60,6 +64,7 @@ class MixtureConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise FieldError("n", f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _index("n", self.n, 1))
         if not 0.0 < self.beta < 1.0:  # False at NaN too
             raise FieldError("beta", f"beta must lie in (0, 1), got {self.beta}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
@@ -83,6 +88,8 @@ class MixtureConfig:
             raise FieldError("seed", f"seed must be >= 0, got {self.seed}")
         if self.reps < 1:
             raise FieldError("reps", f"reps must be >= 1, got {self.reps}")
+        for name, least in (("seed", 0), ("reps", 1)):
+            object.__setattr__(self, name, _index(name, getattr(self, name), least))
         if not self.procedures:
             raise FieldError(
                 "procedures", "procedures must be a non-empty subset of " + repr(PROCEDURES)
@@ -145,9 +152,9 @@ def _replicate_rng(config: MixtureConfig, replicate: int) -> np.random.Generator
         return int(np.float64(x).view(np.uint64))
 
     entropy = [
-        int(config.seed),
+        config.seed,
         int(replicate),
-        int(config.n),
+        config.n,
         bits(config.beta),
         bits(config.r),
         bits(config.gamma),
@@ -253,7 +260,7 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     rows = []
     for n in n_values:
         for r in r_values:
-            cell = replace(base, n=int(n), r=float(r))
+            cell = replace(base, n=n, r=float(r))
             key = (cell.schedule, cell.effective_q(), cell.nu)
             if key not in schedules and any(proc != "bh" for proc in cell.procedures):
                 schedules[key] = cell.make_schedule()

@@ -36,6 +36,12 @@ class TestTruthLabels:
         with pytest.raises(ValueError):
             TruthLabels(3, frozenset({4}))
 
+    def test_non_whole_n_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got 3.5$"):
+            TruthLabels(3.5, [1])
+        truth = TruthLabels(3.0, [1])
+        assert type(truth.n) is int and truth.signal_mask().tolist() == [True, False, False]
+
     def test_empty_signals(self):
         assert not TruthLabels(4, frozenset()).signal_mask().any()
 
@@ -199,3 +205,19 @@ class TestHorizons:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             fdp_at_horizons(np.zeros(5, bool), np.zeros(5, bool), [6])
+
+    def test_grid_of_a_non_whole_n_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 100.5$"):
+            horizon_grid(100.5)
+
+    def test_grid_of_a_whole_float_holds_ints(self):
+        grid = horizon_grid(100.0)
+        assert grid == horizon_grid(100) and all(type(h) is int for h in grid)
+
+    def test_whole_float_horizons_read_as_ints(self):
+        rejected = np.array([True, True, False, True])
+        signal = np.array([True, False, False, False])
+        assert fdp_at_horizons(rejected, signal, [2.0, np.int64(4)]).tolist() == \
+            fdp_at_horizons(rejected, signal, [2, 4]).tolist() == [0.5, 2 / 3]
+        with pytest.raises(ValueError, match=r"^horizon must be an integer >= 1, got 2.5$"):
+            fdp_at_horizons(rejected, signal, [2.5])

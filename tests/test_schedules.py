@@ -16,6 +16,10 @@ from streamfdr import (LambdaSchedule, LondState, LordState, lond_step, lord_ste
                        make_adaptive_schedule, make_power_schedule, schedules)
 
 CHUNK = schedules._CHUNK
+# The reference: ``chunk_aligned_values`` evaluates each value inside the
+# arange of its 4096-aligned chunk, and every read must give those bits
+# whatever range it builds.
+REFERENCE_CHUNK = 4096
 # Two deep chunks and the seam between them: 2441 holds index 1e7,
 # (10**7 - 1) // CHUNK, and the next chunk starts past it.
 CHUNK_AT_1E7 = 2441
@@ -49,8 +53,20 @@ def adaptive_sum_bracket(schedule, n_terms=10**7):
     return low, high
 
 
+def chunk_aligned_values(sched, lo, hi):
+    """lambda_lo .. lambda_{hi-1}, each evaluated inside its REFERENCE_CHUNK-aligned chunk."""
+    size = REFERENCE_CHUNK
+    first, stop = (lo - 1) // size, (hi - 2) // size + 1
+    chunks = []
+    for c in range(first, stop):
+        i = np.arange(c * size + 1, (c + 1) * size + 1, dtype=np.float64)
+        chunks.append(sched.normalizer * i ** (-sched.nu) if sched.kind == "power"
+                      else sched.normalizer / ((i + 1.0) * np.log(i + 1.0) ** 2))
+    return np.concatenate(chunks)[lo - 1 - first * size : hi - 1 - first * size]
+
+
 def counting_builds(monkeypatch):
-    """Start index of every chunk built from now on (wraps ``schedules.np.arange``)."""
+    """Start index of every range built from now on (wraps ``schedules.np.arange``)."""
     builds = []
     arange = np.arange
 
@@ -193,6 +209,25 @@ class TestLambdaAccess:
             prefix = sched.prefix(50)
             assert np.array_equal(prefix, sched.slice(1, 51))
 
+    @given(
+        st.sampled_from(sorted(MAKERS)),
+        st.sampled_from([1.05, 1.5, 2.0]) | st.floats(1.01, 4.0),
+        st.integers(1, 3 * REFERENCE_CHUNK) | st.integers(1, 10**9),
+        st.integers(1, 5000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_range_has_the_chunk_aligned_bits(self, kind, nu, lo, length):
+        # A value's bits depend on its index alone, not on the range built.
+        sched = make_power_schedule(nu, 0.1) if kind == "power" else make_adaptive_schedule(0.1)
+        hi = lo + length
+        want = bits(chunk_aligned_values(sched, lo, hi))
+        assert bits([sched.lambda_at(i) for i in range(lo, hi)]) == want
+        # p = 1 rejects nothing, so both steps read alpha_i = lambda_i.
+        lord, lond = LordState(next_index=lo), LondState(next_index=lo)
+        assert bits([lord_step(lord, sched, 1.0).alpha for _ in range(length)]) == want
+        assert bits([lond_step(lond, sched, 1.0).alpha for _ in range(length)]) == want
+        assert bits(sched.slice(lo, hi)) == want
+
     def test_nonincreasing_over_long_prefix(self):
         for sched in (make_power_schedule(1.05, 0.1), make_adaptive_schedule(0.1)):
             assert np.all(np.diff(sched.prefix(10**6)) <= 0)
@@ -271,9 +306,8 @@ class TestFarPath:
             for state, got in zip(states, alphas):
                 got.append(lond_step(state, sched, 0.5).alpha)
         assert [bits(got) for got in alphas] == want  # no discovery, so alpha_i = lambda_i
-        # At most one chunk per 4096 steps each: the chunks the streams enter.
-        assert sorted(builds) == [c * CHUNK + 1 for start in starts
-                                  for c in range((start - 1) // CHUNK, (start + steps - 2) // CHUNK + 1)]
+        # One build per 4096 steps each, starting where each stream enters.
+        assert sorted(builds) == [start + k * CHUNK for start in starts for k in range(3)]
 
     def test_sequential_far_read_builds_each_chunk_once(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
@@ -289,7 +323,7 @@ class TestFarPath:
         assert bits(state._cursor[3]) == want[2 * CHUNK :] and sched._prefix.size == 0
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
-    def test_threads_share_the_far_slot(self, kind):
+    def test_threads_point_read_far_values(self, kind):
         # Readers of different far chunks (more of them than cores) point-read
         # one schedule at once; each must read its own chunk's values.
         sched = MAKERS[kind]()
@@ -374,15 +408,21 @@ class TestStore:
         assert [bits(values) for values in early] == copies
         assert bits(sched.prefix(5000)) == copies[0]
 
-    def test_stepwise_growth_builds_each_chunk_once(self, monkeypatch):
+    def test_stepwise_growth_builds_each_value_once(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
         builds = counting_builds(monkeypatch)
+        sizes = [0]
         for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 1, 5 * CHUNK,
                   10 * CHUNK + 7, 10 * CHUNK + 8, 40 * CHUNK, 41 * CHUNK, 200 * CHUNK + 1):
             sched.prefix(n)
+            size = sched._prefix.size
+            if size != sizes[-1]:  # grown: to n, or to at least twice the old size
+                assert size == max(n, 2 * sizes[-1])
+                sizes.append(size)
             # A bulk read of n values keeps at most about 2n.
-            assert n <= sched._prefix.size <= 2 * n + CHUNK
-        assert builds == [c * CHUNK + 1 for c in range(sched._prefix.size // CHUNK)]
+            assert n <= size <= 2 * n
+        # Each growth builds only the values past the old prefix, in order.
+        assert builds == [size + 1 for size in sizes[:-1]]
 
     def test_point_reads_inside_the_prefix_build_nothing(self, monkeypatch):
         sched = make_power_schedule(1.05, 0.1)
@@ -402,15 +442,15 @@ class TestStore:
         assert lord._cursor[3].obj.base is None and lond._cursor[3].obj.base is None
 
     def test_growth_at_least_doubles(self):
-        # Copying stays linear: reading one more chunk at a time publishes a
-        # new prefix only when the size doubles.
+        # Copying stays linear: reading 4096 more values at a time publishes a
+        # new prefix only when the size doubles (the first read keeps one value).
         sched = make_adaptive_schedule(0.1)
         sizes = []
         for n in range(1, 64 * CHUNK + 2, CHUNK):
             sched.prefix(n)
             if sched._prefix.size not in sizes:
                 sizes.append(sched._prefix.size)
-        assert sizes == [CHUNK * 2**k for k in range(8)]
+        assert sizes == [1] + [(CHUNK + 1) * 2**k for k in range(7)]
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_mixed_access_orders_agree_bitwise(self, kind):

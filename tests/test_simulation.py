@@ -98,6 +98,9 @@ NAN_CHECKS = {
     "kernel scale": (lambda: GGKernel(2.0, scale=NAN),
                      r"^scale must be finite and > 0, got nan$", "scale"),
     "config nu": (lambda: small_config(nu=NAN), NU_MESSAGE, "nu"),
+    "config n": (lambda: small_config(n=NAN), r"^n must be an integer >= 1, got nan$", "n"),
+    "config seed": (lambda: small_config(seed=NAN), r"^seed must be an integer >= 0, got nan$", "seed"),
+    "config reps": (lambda: small_config(reps=NAN), r"^reps must be an integer >= 1, got nan$", "reps"),
     "mixture epsilon": (lambda: mixture_pvalue_cdf(AltPValueCDF(GGKernel(2.0), 1.0), NAN, 0.5),
                         r"^epsilon must lie in \[0, 1\], got nan$", None),
     "lord_step p": (lambda: lord_step(LordState(), make_adaptive_schedule(0.1), NAN), P_MESSAGE, None),
@@ -112,6 +115,27 @@ def test_nan_fails_each_range_check(name):
         call()
     assert getattr(info.value, "field", None) == field
     assert isinstance(info.value, simulation.FieldError) == (field is not None)
+
+
+# Each whole-number field of MixtureConfig given a non-whole value: (field, value, least).
+NOT_WHOLE = [("n", 1000.5, 1), ("seed", 1.5, 0), ("reps", 2.5, 1)]
+
+
+@pytest.mark.parametrize("name, value, least", NOT_WHOLE)
+def test_config_rejects_non_whole_counts(name, value, least):
+    message = rf"^{name} must be an integer >= {least}, got {value}$"
+    with pytest.raises(simulation.FieldError, match=message) as info:
+        small_config(**{name: value})
+    assert info.value.field == name
+
+
+def test_config_stores_whole_counts_as_int():
+    cfg = small_config(n=2000.0, seed=np.int64(42), reps=2.0)
+    assert cfg == small_config(reps=2)
+    assert [type(value) for value in (cfg.n, cfg.seed, cfg.reps)] == [int] * 3
+    assert run_cell(cfg, "lord") == run_cell(small_config(reps=2), "lord")
+    with pytest.raises(simulation.FieldError, match=r"^n must be an integer >= 1, got 2000.5$"):
+        run_grid(small_config(reps=2), [0.8], [2000.5])
 
 
 class TestParameterization:
