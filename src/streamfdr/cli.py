@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .engines import LondState, LordState, lond_step, lord_step
@@ -110,7 +111,8 @@ def _make_schedule_from_flags(q: float, nu, adaptive: bool) -> LambdaSchedule:
 def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=None) -> int:
     """Run the grid described by a config file and write the CSV.
 
-    ``seed`` and ``reps`` override the config file when given.
+    ``seed`` and ``reps`` override the config file when given; a bad
+    override is reported under its flag (``error: --seed: ...``).
     """
     stderr = stderr or sys.stderr
     try:
@@ -121,10 +123,14 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
         return EXIT_CONFIG
     try:
         base, r_values, n_values = parse_config(text)
-        overrides = {k: v for k, v in (("seed", seed), ("reps", reps)) if v is not None}
-        base = dataclasses.replace(base, **overrides)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=stderr)
+        return EXIT_CONFIG
+    overrides = {k: v for k, v in (("seed", seed), ("reps", reps)) if v is not None}
+    try:
+        base = dataclasses.replace(base, **overrides)
+    except FieldError as exc:
+        print(f"error: --{exc.field}: {exc}", file=stderr)
         return EXIT_CONFIG
     rows = run_grid(base, r_values, n_values)
     try:
@@ -142,7 +148,9 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     Output format: ``index alpha p REJECT|ACCEPT``, flushed per line.
     End of input emits ``# discoveries=<D> n=<count>``. A line that does
     not parse as a P-value in [0, 1] emits ``# error line <k>`` to
-    diagnostics and aborts with exit code 4.
+    diagnostics and aborts with exit code 4. Output that cannot be
+    written, such as a pipe whose reader has closed, ends the run with one
+    ``error:`` line and exit code 3.
     """
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
@@ -158,21 +166,30 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
         state, step = LondState(), lond_step
     count = 0
     discoveries = 0
-    for line in stdin:
-        count += 1
-        try:
-            # float() rejects unparseable text, the step a P-value outside [0, 1].
-            decision = step(state, schedule, float(line))
-        except ValueError:
-            print(f"# error line {count}", file=stderr)
-            return EXIT_STREAM
-        verdict = "REJECT" if decision.rejected else "ACCEPT"
-        stdout.write(f"{decision.index} {decision.alpha!r} {decision.p!r} {verdict}\n")
+    try:
+        for line in stdin:
+            count += 1
+            try:
+                # float() rejects unparseable text, the step a P-value outside [0, 1].
+                decision = step(state, schedule, float(line))
+            except ValueError:
+                print(f"# error line {count}", file=stderr)
+                return EXIT_STREAM
+            verdict = "REJECT" if decision.rejected else "ACCEPT"
+            stdout.write(f"{decision.index} {decision.alpha!r} {decision.p!r} {verdict}\n")
+            stdout.flush()
+            if decision.rejected:
+                discoveries += 1
+        stdout.write(f"# discoveries={discoveries} n={count}\n")
         stdout.flush()
-        if decision.rejected:
-            discoveries += 1
-    stdout.write(f"# discoveries={discoveries} n={count}\n")
-    stdout.flush()
+    except BrokenPipeError as exc:
+        print(f"error: cannot write output: {exc}", file=stderr)
+        # The interpreter flushes stdout again at exit; point its descriptor
+        # at devnull so the unwritten lines go nowhere instead of raising.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        return EXIT_UNWRITABLE
     return EXIT_OK
 
 

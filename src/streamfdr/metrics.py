@@ -48,15 +48,15 @@ POOLED_ID = -1
 class TruthLabels:
     """Ground truth for a stream: which 1-based indices carry a signal.
 
-    Any iterable of indices is stored as a sorted, unique, read-only int64 array.
+    ``n`` takes any whole number >= 0 and is stored as ``int``; any other
+    value raises a ``FieldError`` naming ``n``. Any iterable of indices is
+    stored as a sorted, unique, read-only int64 array.
     """
 
     n: int
     false_null_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
         object.__setattr__(self, "n", _index("n", self.n, 0))
         idx = self.false_null_indices
         arr = np.asarray(idx if isinstance(idx, np.ndarray) else list(idx), dtype=np.float64)
@@ -111,12 +111,17 @@ def _masks_from_decisions(decisions, truth: TruthLabels):
     return rejected, truth.signal_mask()
 
 
-def fdp_fnp_from_mask(rejected: np.ndarray, signal: np.ndarray):
-    """(FDP, FNP) from boolean rejection and signal masks."""
+def _bool_masks(rejected, signal):
     rejected = np.asarray(rejected, dtype=bool)
     signal = np.asarray(signal, dtype=bool)
     if rejected.shape != signal.shape:
         raise ValueError("rejection and signal masks must have equal length")
+    return rejected, signal
+
+
+def fdp_fnp_from_mask(rejected: np.ndarray, signal: np.ndarray):
+    """(FDP, FNP) from boolean rejection and signal masks of equal shape."""
+    rejected, signal = _bool_masks(rejected, signal)
     n_rej = int(rejected.sum())
     n_sig = int(signal.sum())
     false_rej = int((rejected & ~signal).sum())
@@ -139,25 +144,30 @@ def fnp(decisions, truth: TruthLabels) -> float:
 
 
 def horizon_grid(n: int, floor: int = 10) -> list[int]:
-    """Logarithmic evaluation horizons ceil(n / 2**k), descending to ``floor``."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    """Logarithmic evaluation horizons ceil(n / 2**k), descending to ``floor``.
+
+    ``n`` must be a whole number >= 1; otherwise a ``FieldError`` names it.
+    """
     n = _index("n", n, 1)
     grid = {-(-n // 2**k) for k in range(n.bit_length() + 1)}  # ceil(n / 2**k), down to 1
     return sorted(h for h in grid if h >= floor) or [n]
 
 
 def fdp_at_horizons(rejected: np.ndarray, signal: np.ndarray, horizons) -> np.ndarray:
-    """FDP of the first h decisions for each horizon h (0/0 = 0)."""
-    rejected = np.asarray(rejected, dtype=bool)
-    signal = np.asarray(signal, dtype=bool)
+    """FDP of the first h decisions for each horizon h (0/0 = 0).
+
+    The masks must have equal shape, and each horizon must be a whole
+    number in 1..len(rejected); otherwise a ``ValueError`` is raised (a
+    ``FieldError`` naming ``horizon`` when it is not a whole number >= 1).
+    """
+    rejected, signal = _bool_masks(rejected, signal)
     cum_rej = np.cumsum(rejected)
     cum_false = np.cumsum(rejected & ~signal)
     out = np.zeros(len(horizons), dtype=np.float64)
     for k, h in enumerate(horizons):
-        if not 1 <= h <= rejected.size:
-            raise ValueError(f"horizon {h} outside 1..{rejected.size}")
         h = _index("horizon", h, 1)
+        if h > rejected.size:
+            raise ValueError(f"horizon {h} outside 1..{rejected.size}")
         r = cum_rej[h - 1]
         out[k] = cum_false[h - 1] / r if r else 0.0
     return out

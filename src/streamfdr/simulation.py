@@ -45,8 +45,9 @@ PROCEDURES = ("lord", "lond", "bh")
 class MixtureConfig:
     """One experiment cell: model, budget rule, seeding and procedures.
 
-    ``n``, ``seed`` and ``reps`` take any whole number and are stored as
-    ``int``; other values raise a ``FieldError`` naming the field.
+    ``n`` (>= 1), ``seed`` (>= 0) and ``reps`` (>= 1) take any whole number
+    in range and are stored as ``int``; any other value, a string or
+    ``None`` included, raises a ``FieldError`` naming the field.
     """
 
     n: int
@@ -62,8 +63,6 @@ class MixtureConfig:
     nu: float = 1.05
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise FieldError("n", f"n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", _index("n", self.n, 1))
         if not 0.0 < self.beta < 1.0:  # False at NaN too
             raise FieldError("beta", f"beta must lie in (0, 1), got {self.beta}")
@@ -84,10 +83,6 @@ class MixtureConfig:
             _check_q(self.q)
         elif self.n < 3:
             raise FieldError("n", f"the inverse-log rule needs n >= 3 so q < 1, got n = {self.n}")
-        if self.seed < 0:
-            raise FieldError("seed", f"seed must be >= 0, got {self.seed}")
-        if self.reps < 1:
-            raise FieldError("reps", f"reps must be >= 1, got {self.reps}")
         for name, least in (("seed", 0), ("reps", 1)):
             object.__setattr__(self, name, _index(name, getattr(self, name), least))
         if not self.procedures:
@@ -153,7 +148,7 @@ def _replicate_rng(config: MixtureConfig, replicate: int) -> np.random.Generator
 
     entropy = [
         config.seed,
-        int(replicate),
+        replicate,
         config.n,
         bits(config.beta),
         bits(config.r),
@@ -163,9 +158,12 @@ def _replicate_rng(config: MixtureConfig, replicate: int) -> np.random.Generator
 
 
 def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
-    """Generate one replicate's statistics; deterministic in (config, replicate)."""
-    if replicate < 0:
-        raise ValueError(f"replicate must be >= 0, got {replicate}")
+    """Generate one replicate's statistics; deterministic in (config, replicate).
+
+    ``replicate`` takes any whole number >= 0; other values raise a
+    ``FieldError`` naming ``replicate``.
+    """
+    replicate = _index("replicate", replicate, 0)
     m = config.signal_count
     rng = _replicate_rng(config, replicate)
     stats = gg_sample(config.kernel, rng, config.n)

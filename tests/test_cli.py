@@ -190,13 +190,17 @@ class TestSimulateCommand:
         code = cmd_simulate(str(config), str(tmp_path / "o.csv"), reps=0)
         assert code == EXIT_CONFIG
         assert "reps" in capsys.readouterr().err
+        assert main(["simulate", str(config), "--out", str(tmp_path / "o.csv"), "--reps", "0"]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --reps: reps must be an integer >= 1, got 0\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text(GOOD_CONFIG)
         code = cmd_simulate(str(config), str(tmp_path / "o.csv"), seed=-1)
         assert code == EXIT_CONFIG
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert "error: --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 class TestScheduleCommand:
@@ -346,6 +350,24 @@ class TestStreamProtocolCausality:
         lines = result.stdout.splitlines()
         assert len(lines) == 3
         assert lines[-1] == "# discoveries=1 n=2"
+
+    def test_closed_stdout_exits_3_without_traceback(self, tmp_path):
+        # Far more output than a pipe buffer holds, so the stream is still
+        # writing when the reader closes its end after one line.
+        pvalues = tmp_path / "p.txt"
+        pvalues.write_text("0.5\n" * 20000)
+        with pvalues.open() as stdin, subprocess.Popen(
+            [sys.executable, "-m", "streamfdr.cli", "stream", "--procedure", "lord", "--adaptive"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("1 ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_UNWRITABLE
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
     def test_bad_line_exit_code_via_subprocess(self):
         result = subprocess.run(

@@ -18,6 +18,7 @@ from streamfdr import (
     make_power_schedule,
     pool,
 )
+from streamfdr.simulation import FieldError
 
 
 def decisions_from_rejections(n, rejected_indices):
@@ -41,6 +42,12 @@ class TestTruthLabels:
             TruthLabels(3.5, [1])
         truth = TruthLabels(3.0, [1])
         assert type(truth.n) is int and truth.signal_mask().tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("n, shown", [("3", "'3'"), (-1, "-1")])
+    def test_n_not_a_count_names_n(self, n, shown):
+        with pytest.raises(FieldError, match=rf"^n must be an integer >= 0, got {shown}$") as info:
+            TruthLabels(n, [1])
+        assert info.value.field == "n"
 
     def test_empty_signals(self):
         assert not TruthLabels(4, frozenset()).signal_mask().any()
@@ -209,6 +216,24 @@ class TestHorizons:
     def test_grid_of_a_non_whole_n_rejected(self):
         with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 100.5$"):
             horizon_grid(100.5)
+
+    @pytest.mark.parametrize("n, shown", [("100", "'100'"), (0, "0")])
+    def test_grid_of_a_non_count_names_n(self, n, shown):
+        with pytest.raises(FieldError, match=rf"^n must be an integer >= 1, got {shown}$") as info:
+            horizon_grid(n)
+        assert info.value.field == "n"
+
+    def test_horizons_need_equal_mask_lengths(self):
+        # A length-1 signal mask must not broadcast over the rejections.
+        with pytest.raises(ValueError, match="^rejection and signal masks must have equal length$"):
+            fdp_at_horizons(np.ones(10, bool), np.zeros(1, bool), [5, 10])
+
+    def test_horizon_bounds_messages(self):
+        rejected = signal = np.zeros(5, bool)
+        with pytest.raises(FieldError, match=r"^horizon must be an integer >= 1, got 0$"):
+            fdp_at_horizons(rejected, signal, [0])
+        with pytest.raises(ValueError, match=r"^horizon 6 outside 1\.\.5$"):
+            fdp_at_horizons(rejected, signal, [6.0])
 
     def test_grid_of_a_whole_float_holds_ints(self):
         grid = horizon_grid(100.0)

@@ -1,6 +1,7 @@
 """Mixture generation and experiment grid tests."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from streamfdr import (
     LondState,
     LordState,
     MixtureConfig,
+    fdp_at_horizons,
     gg_survival,
     lond_step,
     lord_step,
@@ -101,6 +103,10 @@ NAN_CHECKS = {
     "config n": (lambda: small_config(n=NAN), r"^n must be an integer >= 1, got nan$", "n"),
     "config seed": (lambda: small_config(seed=NAN), r"^seed must be an integer >= 0, got nan$", "seed"),
     "config reps": (lambda: small_config(reps=NAN), r"^reps must be an integer >= 1, got nan$", "reps"),
+    "mixture replicate": (lambda: make_mixture(small_config(), NAN),
+                          r"^replicate must be an integer >= 0, got nan$", "replicate"),
+    "metrics horizon": (lambda: fdp_at_horizons([True, False], [True, True], [NAN]),
+                        r"^horizon must be an integer >= 1, got nan$", "horizon"),
     "mixture epsilon": (lambda: mixture_pvalue_cdf(AltPValueCDF(GGKernel(2.0), 1.0), NAN, 0.5),
                         r"^epsilon must lie in \[0, 1\], got nan$", None),
     "lord_step p": (lambda: lord_step(LordState(), make_adaptive_schedule(0.1), NAN), P_MESSAGE, None),
@@ -117,13 +123,16 @@ def test_nan_fails_each_range_check(name):
     assert isinstance(info.value, simulation.FieldError) == (field is not None)
 
 
-# Each whole-number field of MixtureConfig given a non-whole value: (field, value, least).
-NOT_WHOLE = [("n", 1000.5, 1), ("seed", 1.5, 0), ("reps", 2.5, 1)]
+# Each whole-number field of MixtureConfig given a value that is not a whole
+# number >= least (non-whole, below the range or not a number): (field, value, least).
+NOT_WHOLE = [("n", 1000.5, 1), ("seed", 1.5, 0), ("reps", 2.5, 1),
+             ("n", 0, 1), ("seed", -1, 0), ("reps", 0, 1),
+             ("n", "100", 1), ("seed", "1", 0), ("reps", None, 1)]
 
 
 @pytest.mark.parametrize("name, value, least", NOT_WHOLE)
 def test_config_rejects_non_whole_counts(name, value, least):
-    message = rf"^{name} must be an integer >= {least}, got {value}$"
+    message = rf"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
     with pytest.raises(simulation.FieldError, match=message) as info:
         small_config(**{name: value})
     assert info.value.field == name
@@ -184,8 +193,19 @@ class TestMakeMixture:
             assert 1 <= positions[0] and positions[-1] <= cfg.n
 
     def test_negative_replicate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(simulation.FieldError,
+                           match=r"^replicate must be an integer >= 0, got -1$") as info:
             make_mixture(small_config(), -1)
+        assert info.value.field == "replicate"
+
+    def test_non_whole_replicate_rejected(self):
+        # Not read as replicate 2.
+        with pytest.raises(simulation.FieldError,
+                           match=r"^replicate must be an integer >= 0, got 2.5$") as info:
+            make_mixture(small_config(), 2.5)
+        assert info.value.field == "replicate"
+        whole = make_mixture(small_config(), np.int64(2))
+        assert np.array_equal(whole.statistics, make_mixture(small_config(), 2).statistics)
 
     def test_signal_positions_carry_the_shift(self):
         # Subtracting mu at signal positions recovers null draws.
