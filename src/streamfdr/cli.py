@@ -183,18 +183,16 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
         stdout.write(f"# discoveries={discoveries} n={count}\n")
         stdout.flush()
     except BrokenPipeError as exc:
-        print(f"error: cannot write output: {exc}", file=stderr)
-        # The interpreter flushes stdout again at exit; point its descriptor
-        # at devnull so the unwritten lines go nowhere instead of raising.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stdout.fileno())
-        os.close(devnull)
-        return EXIT_UNWRITABLE
+        return _closed_output(exc, stdout, stderr)
     return EXIT_OK
 
 
 def cmd_schedule(q: float, nu, adaptive: bool, head: int, stdout=None, stderr=None) -> int:
-    """Print lambda_1..lambda_head and the remaining budget q - sum."""
+    """Print lambda_1..lambda_head and the remaining budget q - sum.
+
+    Output that cannot be written, such as a pipe whose reader has closed,
+    ends the run with one ``error:`` line and exit code 3, as for ``stream``.
+    """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     if head < 1:
@@ -206,11 +204,26 @@ def cmd_schedule(q: float, nu, adaptive: bool, head: int, stdout=None, stderr=No
         print(f"error: {exc}", file=stderr)
         return EXIT_CONFIG
     values = schedule.prefix(head)
-    for i, lam in enumerate(values, start=1):
-        stdout.write(f"{i} {float(lam)!r}\n")
-    residual = schedule.q - float(values.sum())
-    stdout.write(f"# residual={residual!r}\n")
+    try:
+        for i, lam in enumerate(values, start=1):
+            stdout.write(f"{i} {float(lam)!r}\n")
+        residual = schedule.q - float(values.sum())
+        stdout.write(f"# residual={residual!r}\n")
+        stdout.flush()
+    except BrokenPipeError as exc:
+        return _closed_output(exc, stdout, stderr)
     return EXIT_OK
+
+
+def _closed_output(exc: BrokenPipeError, stdout, stderr) -> int:
+    """Report output whose reader has closed; return ``EXIT_UNWRITABLE``."""
+    print(f"error: cannot write output: {exc}", file=stderr)
+    # The interpreter flushes stdout again at exit; point its descriptor
+    # at devnull so the unwritten lines go nowhere instead of raising.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stdout.fileno())
+    os.close(devnull)
+    return EXIT_UNWRITABLE
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -119,16 +119,18 @@ def _bool_masks(rejected, signal):
     return rejected, signal
 
 
+def _fdp_fnp(n_rej: int, n_true: int, n_sig: int):
+    """(FDP, FNP) from the counts of rejections, true rejections and signals (0/0 = 0)."""
+    out_fdp = (n_rej - n_true) / n_rej if n_rej else 0.0
+    out_fnp = (n_sig - n_true) / n_sig if n_sig else 0.0
+    return out_fdp, out_fnp
+
+
 def fdp_fnp_from_mask(rejected: np.ndarray, signal: np.ndarray):
     """(FDP, FNP) from boolean rejection and signal masks of equal shape."""
     rejected, signal = _bool_masks(rejected, signal)
-    n_rej = int(rejected.sum())
-    n_sig = int(signal.sum())
-    false_rej = int((rejected & ~signal).sum())
-    missed = int((signal & ~rejected).sum())
-    out_fdp = false_rej / n_rej if n_rej else 0.0
-    out_fnp = missed / n_sig if n_sig else 0.0
-    return out_fdp, out_fnp
+    return _fdp_fnp(int(np.count_nonzero(rejected)), int(np.count_nonzero(rejected & signal)),
+                    int(np.count_nonzero(signal)))
 
 
 def fdp(decisions, truth: TruthLabels) -> float:

@@ -4,9 +4,11 @@ Datasets follow the sparse mixture parameterized by (beta, r, gamma):
 ``epsilon = n**-beta`` of the statistics (exactly ``round(n**(1-beta))``
 of them, at uniformly random positions) are shifted right by
 ``mu = (gamma * r * log n)**(1/gamma)``; the rest are null draws.
-P-values are computed from the statistics. Each (cell, replicate)
-dataset is generated once, with its P-values and signal mask, and every
-procedure of the cell decides on it (paired comparison).
+Each (cell, replicate) dataset is generated once and every procedure of
+the cell decides on it (paired comparison). A cell computes P-values
+only where a decision can read them: where the statistic reaches the
+null quantile of 2q, q the cell's budget. Every other position gets the
+P-value 1.0, which changes no decision (see ``_cell_records``).
 
 Replicates are seeded by (seed, cell parameters, replicate), so cells
 are independent of one another and of execution order, and any subset
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import GGKernel, _check_gamma, gg_sample, pvalue
+from .distributions import GGKernel, _as_finite_array, _check_gamma, gg_quantile, gg_sample, pvalue
 from .engines import bh_mask, lond_levels, lord_levels
-from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, fdp_fnp_from_mask, pool
+from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, _fdp_fnp, pool
 from .schedules import (FieldError, LambdaSchedule, _check_nu, _check_q, _index,
                         make_adaptive_schedule, make_power_schedule)
 
@@ -185,30 +187,45 @@ def _cell_records(config: MixtureConfig, procedures,
                   schedule: LambdaSchedule | None = None) -> list[list[MetricsRecord]]:
     """One record list per entry of ``procedures``, in order, for one cell.
 
-    Each replicate's dataset, P-values and signal mask are built once and
-    every procedure decides on them. ``schedule``, when given, must be the
-    one ``config.make_schedule()`` builds; otherwise the cell builds it if a
+    Each replicate's dataset and P-values are built once and every
+    procedure decides on them. ``schedule``, when given, must be the one
+    ``config.make_schedule()`` builds; otherwise the cell builds it if a
     streaming rule needs it.
+
+    Only P-values at or below the budget q can be rejected: a step-up
+    threshold q j / n is at most q, a lord level is one schedule value and
+    each is at most their sum q, and a lond level is at most
+    ``lambda_i (D + 1) <= lambda_i i <= lambda_1 + ... + lambda_i <= q``,
+    as the power and adaptive schedules do not increase. So P-values are
+    computed only where the statistic reaches ``cut``, the null quantile
+    of 2q, and the rest are set to 1.0. Survival and quantile err by far
+    less than a factor of 2, so every P-value skipped exceeds q, and no
+    decision, level or count changes. When 2q >= 1, or for gamma = 1,
+    whose survival is one ``exp`` (and whose quantile would load scipy),
+    every P-value is computed. FDP and FNP come from the rejection count
+    and the rejections at the signal positions.
     """
     if schedule is None and any(proc != "bh" for proc in procedures):
         schedule = config.make_schedule()
+    kernel = config.kernel
+    budget = 2.0 * config.effective_q()
+    cut = None if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(kernel, budget)
     records = [[] for _ in procedures]
     for rep in range(config.reps):
         dataset = make_mixture(config, rep)
-        pvals = pvalue(config.kernel, dataset.statistics)
-        signal = dataset.truth.signal_mask()
+        if cut is None:
+            pvals = pvalue(kernel, dataset.statistics)
+        else:
+            stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
+            keep = np.flatnonzero(stats >= cut)
+            pvals = np.ones(stats.size)
+            pvals[keep] = pvalue(kernel, stats[keep])
+        signals = dataset.truth.false_null_indices - 1
         for proc, out in zip(procedures, records):
             rejected = _rejections(proc, pvals, config, schedule)
-            f, g = fdp_fnp_from_mask(rejected, signal)
-            out.append(
-                MetricsRecord(
-                    n=config.n,
-                    fdp=f,
-                    fnp=g,
-                    rejections=int(rejected.sum()),
-                    replicate_id=rep,
-                )
-            )
+            n_rej = int(np.count_nonzero(rejected))
+            f, g = _fdp_fnp(n_rej, int(np.count_nonzero(rejected[signals])), signals.size)
+            out.append(MetricsRecord(n=config.n, fdp=f, fnp=g, rejections=n_rej, replicate_id=rep))
     return records
 
 

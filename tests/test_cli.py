@@ -369,6 +369,20 @@ class TestStreamProtocolCausality:
             assert proc.wait(timeout=60) == EXIT_UNWRITABLE
         assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
+    def test_schedule_into_closed_stdout_exits_3_without_traceback(self):
+        # As for stream: far more output than a pipe buffer holds.
+        with subprocess.Popen(
+            [sys.executable, "-m", "streamfdr.cli", "schedule", "--adaptive", "--head", "100000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("1 ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_UNWRITABLE
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
     def test_bad_line_exit_code_via_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "streamfdr.cli", "stream", "--procedure", "lord"],

@@ -44,12 +44,16 @@ def stream(procedure):
         (stream("lord"), PVALUES, False),
         ("from streamfdr.cli import main\n"
          "assert main(['schedule', '--adaptive', '--head', '3']) == 0", "", False),
+        # gamma = 1 P-values are one exp, and no quantile cut is taken for them.
+        ("from streamfdr import MixtureConfig, run_cell\n"
+         "config = MixtureConfig(n=2000, beta=0.5, r=0.8, gamma=1.0, schedule='adaptive', reps=2)\n"
+         "assert all(run_cell(config, proc) for proc in ('lord', 'lond', 'bh'))", "", False),
         # Controls: the probe sees scipy where a value needs it.
         ("from streamfdr import make_power_schedule; make_power_schedule(1.05, 0.1)", "", True),
         ("from streamfdr import GGKernel, pvalue; pvalue(GGKernel(2.0), 1.0)", "", True),
     ],
     ids=["import", "import-cli", "stream-lond-adaptive", "stream-lord-adaptive",
-         "schedule-adaptive", "power-schedule", "pvalue"],
+         "schedule-adaptive", "cell-gamma-1-adaptive", "power-schedule", "pvalue"],
 )
 def test_scipy_loaded_only_where_needed(code, stdin, loaded):
     result = run_python(code + SCIPY_LOADED, stdin)

@@ -15,9 +15,15 @@ from streamfdr import (
     LondState,
     LordState,
     MixtureConfig,
+    MetricsRecord,
+    bh_mask,
     fdp_at_horizons,
+    fdp_fnp_from_mask,
+    gg_quantile,
     gg_survival,
+    lond_levels,
     lond_step,
+    lord_levels,
     lord_step,
     make_adaptive_schedule,
     make_mixture,
@@ -417,3 +423,180 @@ class TestOneGenerationPerReplicate:
         assert len(built) == builds
         monkeypatch.undo()
         assert rows == self.per_procedure_rows(cfg, [0.5, 0.9], [400, 500])
+
+
+def reference_records(config, procedures, masks=None):
+    """The cell's records from full P-values, signal masks and ``fdp_fnp_from_mask``.
+
+    Each rejection mask is appended to ``masks`` when a list is given.
+    """
+    schedule = config.make_schedule()
+    rules = {
+        "bh": lambda p: bh_mask(p, config.effective_q()),
+        "lord": lambda p: lord_levels(p, schedule)[1],
+        "lond": lambda p: lond_levels(p, schedule)[1],
+    }
+    records = [[] for _ in procedures]
+    for rep in range(config.reps):
+        dataset = simulation.make_mixture(config, rep)
+        pvals = pvalue(config.kernel, dataset.statistics)
+        signal = dataset.truth.signal_mask()
+        for proc, out in zip(procedures, records):
+            rejected = rules[proc](pvals)
+            if masks is not None:
+                masks.append(rejected)
+            f, g = fdp_fnp_from_mask(rejected, signal)
+            out.append(MetricsRecord(n=config.n, fdp=f, fnp=g,
+                                     rejections=int(rejected.sum()), replicate_id=rep))
+    return records
+
+
+def cell_records(config, procedures, masks):
+    """``_cell_records`` with each rejection mask it decides appended to ``masks``."""
+    original = simulation._rejections
+
+    def recorded(*args):
+        masks.append(original(*args))
+        return masks[-1]
+
+    simulation._rejections = recorded
+    try:
+        return simulation._cell_records(config, procedures)
+    finally:
+        simulation._rejections = original
+
+
+class TestReadablePValues:
+    """A cell computes P-values only where a decision can read them, and its rows stay exact."""
+
+    PROCEDURES = ("lord", "lond", "bh")
+
+    def assert_exact(self, config):
+        got_masks, want_masks = [], []
+        got = cell_records(config, self.PROCEDURES, got_masks)
+        want = reference_records(config, self.PROCEDURES, want_masks)
+        assert got == want
+        assert len(got_masks) == len(want_masks) == config.reps * len(self.PROCEDURES)
+        for got_mask, want_mask in zip(got_masks, want_masks):
+            np.testing.assert_array_equal(got_mask, want_mask)
+        return want_masks
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("schedule", ["power", "adaptive"])
+    @pytest.mark.parametrize("q_rule", ["fixed", "inverse-log"])
+    def test_rows_equal_full_pvalue_reference(self, gamma, schedule, q_rule):
+        for beta in (0.2, 0.6):  # dense: thousands of discoveries; sparse: a few
+            self.assert_exact(small_config(beta=beta, r=0.6, gamma=gamma, schedule=schedule,
+                                           q_rule=q_rule, reps=3, nu=2.0))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_small_inverse_log_cells(self, n):
+        # 2q = 2 / log n >= 1 up to n = 7, so every position is evaluated there.
+        for gamma in (1.5, 2.0):
+            for schedule in ("power", "adaptive"):
+                self.assert_exact(small_config(n=n, beta=0.3, r=2.0, gamma=gamma, reps=20,
+                                               schedule=schedule, q_rule="inverse-log"))
+
+    @pytest.mark.parametrize(
+        "overrides, evaluated",
+        [
+            ({}, "part"),
+            ({"gamma": 3.0, "q": 0.45}, "part"),  # 2q > 1/2: the cut is negative
+            ({"gamma": 1.0}, "all"),  # survival is one exp; no quantile is taken
+            ({"q": 0.5}, "all"),  # 2q = 1
+            ({"n": 7, "q_rule": "inverse-log"}, "all"),  # 2 / log 7 > 1
+            ({"n": 30, "q_rule": "inverse-log"}, "part"),
+        ],
+    )
+    def test_pvalue_runs_on_positions_at_or_above_the_cut(self, overrides, evaluated, monkeypatch):
+        sizes = []
+        original = simulation.pvalue
+
+        def counted(kernel, x):
+            sizes.append(np.size(x))
+            return original(kernel, x)
+
+        monkeypatch.setattr(simulation, "pvalue", counted)
+        config = small_config(reps=2, **overrides)
+        records = simulation._cell_records(config, self.PROCEDURES)
+        assert len(sizes) == config.reps
+        if evaluated == "all":
+            assert sizes == [config.n] * config.reps
+        else:
+            cut = gg_quantile(config.kernel, 2 * config.effective_q())
+            for rep, size in enumerate(sizes):
+                stats_ = simulation.make_mixture(config, rep).statistics
+                assert size == np.count_nonzero(stats_ >= cut) < config.n
+        monkeypatch.undo()
+        assert records == reference_records(config, self.PROCEDURES)
+
+    @staticmethod
+    def least_rejectable(kernel, q):
+        """The least statistic whose computed P-value is at most ``q``, stepping ulps."""
+        x = gg_quantile(kernel, q)
+        while pvalue(kernel, x) <= q:
+            x = np.nextafter(x, -np.inf)
+        while pvalue(kernel, x) > q:
+            x = np.nextafter(x, np.inf)
+        return x
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("q, schedule", [(0.1, "adaptive"), (0.3, "power"), (0.45, "adaptive")])
+    def test_statistics_planted_at_the_level_and_the_cut(self, gamma, q, schedule, monkeypatch):
+        n = 700
+        config = small_config(n=n, gamma=gamma, q=q, schedule=schedule, nu=2.0, reps=1)
+        kernel = config.kernel
+
+        def around(x):
+            return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+        edge = self.least_rejectable(kernel, q)
+        at_q = around(gg_quantile(kernel, q))
+        at_cut = around(gg_quantile(kernel, 2 * q))
+        # The largest lord level, planted right after a discovery, where lord reads it.
+        at_lambda = around(gg_quantile(kernel, config.make_schedule().lambda_at(1)))
+        planted = {
+            "edge": [edge] * n,  # every P-value at most q: bh rejects all
+            "below edge": [np.nextafter(edge, -np.inf)] * n,  # every one above q: bh rejects none
+            **{f"quantile {k}": [x] * n for k, x in enumerate(at_q)},
+            "q and cut": np.resize(at_q + at_cut, n),
+            "after discoveries": np.resize(
+                [40.0, at_lambda[0], 40.0, at_lambda[1], 40.0, at_lambda[2]] + at_q + at_cut, n),
+        }
+        truth = simulation.TruthLabels(n, range(1, n + 1, 7))
+        rejections = {}
+        for name, stats_ in planted.items():
+            dataset = simulation.MixtureDataset(np.array(stats_, dtype=np.float64), truth)
+            monkeypatch.setattr(simulation, "make_mixture", lambda cfg, rep, d=dataset: d)
+            masks = self.assert_exact(config)
+            rejections[name] = [int(mask.sum()) for mask in masks]
+        assert rejections["edge"][2] == n and rejections["below edge"][2] == 0
+        assert min(rejections["after discoveries"]) > 0
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistic_raises(self, gamma, bad, monkeypatch):
+        # Checked at every position, the skipped ones too.
+        config = small_config(n=50, gamma=gamma, reps=1)
+        stats_ = np.zeros(50)
+        stats_[17] = bad
+        dataset = simulation.MixtureDataset(stats_, simulation.TruthLabels(50, [1]))
+        monkeypatch.setattr(simulation, "make_mixture", lambda cfg, rep: dataset)
+        with pytest.raises(ValueError, match=r"^statistic values must be finite$"):
+            simulation._cell_records(config, self.PROCEDURES)
+
+    @pytest.mark.parametrize("q_rule, q", [("fixed", 0.1), ("fixed", 0.45), ("inverse-log", 0.1)])
+    @pytest.mark.parametrize("schedule, nu", [("power", 1.05), ("power", 2.0), ("adaptive", 1.05)])
+    def test_schedules_do_not_increase_and_keep_lambda_i_times_i_within_q(
+            self, q_rule, q, schedule, nu):
+        # The lond bound lambda_i (D + 1) <= lambda_i i <= q that makes the cut exact.
+        config = small_config(n=8, q=q, q_rule=q_rule, schedule=schedule, nu=nu)
+        budget = config.effective_q()
+        schedule = config.make_schedule()
+        prefix = schedule.prefix(10**6)
+        far = schedule.slice(2 * 10**7, 2 * 10**7 + 10**5)
+        for lo, values in ((1, prefix), (2 * 10**7, far)):
+            assert np.all(np.diff(values) <= 0.0)
+            assert np.all(values * np.arange(lo, lo + values.size, dtype=np.float64) <= budget)
+        assert far[0] <= prefix[-1]
+        assert np.cumsum(prefix)[-1] <= budget
