@@ -200,8 +200,7 @@ def _cell_records(config: MixtureConfig, procedures,
     computed only where the statistic reaches ``cut``, the null quantile
     of 2q, and the rest are set to 1.0. Survival and quantile err by far
     less than a factor of 2, so every P-value skipped exceeds q, and no
-    decision, level or count changes. When 2q >= 1, or for gamma = 1,
-    whose survival is one ``exp`` (and whose quantile would load scipy),
+    decision, level or count changes. When 2q >= 1 the cut is -inf and
     every P-value is computed. FDP and FNP come from the rejection count
     and the rejections at the signal positions.
     """
@@ -209,17 +208,15 @@ def _cell_records(config: MixtureConfig, procedures,
         schedule = config.make_schedule()
     kernel = config.kernel
     budget = 2.0 * config.effective_q()
-    cut = None if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(kernel, budget)
+    # gamma = 1 takes no cut: its survival is one exp, and the quantile would load scipy.
+    cut = -np.inf if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(kernel, budget)
     records = [[] for _ in procedures]
     for rep in range(config.reps):
         dataset = make_mixture(config, rep)
-        if cut is None:
-            pvals = pvalue(kernel, dataset.statistics)
-        else:
-            stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
-            keep = np.flatnonzero(stats >= cut)
-            pvals = np.ones(stats.size)
-            pvals[keep] = pvalue(kernel, stats[keep])
+        stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
+        keep = np.flatnonzero(stats >= cut)
+        pvals = np.ones(stats.size)
+        pvals[keep] = pvalue(kernel, stats[keep])
         signals = dataset.truth.false_null_indices - 1
         for proc, out in zip(procedures, records):
             rejected = _rejections(proc, pvals, config, schedule)
