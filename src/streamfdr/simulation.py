@@ -200,9 +200,9 @@ def _cell_records(config: MixtureConfig, procedures,
     computed only where the statistic reaches ``cut``, the null quantile
     of 2q, and the rest are set to 1.0. Survival and quantile err by far
     less than a factor of 2, so every P-value skipped exceeds q, and no
-    decision, level or count changes. When 2q >= 1 the cut is -inf and
-    every P-value is computed. FDP and FNP come from the rejection count
-    and the rejections at the signal positions.
+    decision, level or count changes. When 2q >= 1, or for gamma = 1, the
+    cut is -inf and every P-value is computed. FDP and FNP come from the
+    rejection count and the rejections at the signal positions.
     """
     if schedule is None and any(proc != "bh" for proc in procedures):
         schedule = config.make_schedule()
