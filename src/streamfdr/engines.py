@@ -17,19 +17,27 @@ rules. A rule is three small functions: a bound on every level the rule
 can give a position, a walk over the positions whose P-values meet it,
 and the levels that a set of rejections implies.
 
-The core reads the schedule once and finds the candidates, the
-positions whose P-value is at or below the largest level any past could
-give there: the largest schedule value for lord (lambda_1 when the
-schedule does not increase), ``lambda_i * i`` for lond (``D <= i - 1``,
-multiplying a float by an exact integer is monotone, and lambda >= 0).
-Only a candidate can reject, and a rule's state (last discovery ``t``,
-discovery count ``D``) changes only at a rejection, so walking the
-candidates in order with the step's own float expression, and nothing
-else, yields every rejection and the exact state before each position.
-The levels then follow from the rejected positions in one vectorized
-pass. The cost is O(n) vectorized work plus one Python iteration (about
-0.3 us) per candidate: a discovery chain costs what an all-zero stream
-costs, and a stream of acceptances walks nothing.
+The core takes the positions it may reject from, with their P-values,
+and returns the rejected ones; the array forms give it every position
+(``None``, so they build no index array).
+It finds the candidates, the positions whose P-value is at or below the
+largest level any past could give there: the largest schedule value
+for lord (lambda_1 when the schedule does not increase),
+``lambda_i * i`` for lond (``D <= i - 1``, multiplying a float by an
+exact integer is monotone, and lambda >= 0). Only a candidate can
+reject, and a rule's state (last discovery ``t``, discovery count ``D``)
+changes only at a rejection, so walking the candidates in order with
+the step's own float expression, and nothing else, yields every
+rejection and the exact state before each position. A position left out
+must therefore hold a P-value no level reaches (such as 1.0 when every
+level is below 1), and it changes nothing. The array forms then rebuild
+the levels from the rejected positions in one vectorized pass. The cost
+is O(n) vectorized work plus one Python iteration (about 0.3 us) per
+candidate: a discovery chain costs what an all-zero stream costs, and a
+stream of acceptances walks nothing.
+
+The step-up rule's cutoff likewise reads only the P-values at or below
+``q * n / n`` with the full count n, so it can be given just those.
 """
 
 from __future__ import annotations
@@ -136,9 +144,9 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
     return Decision(i, alpha, p, rejected)
 
 
-def _lord_bound(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _lord_bound(values: np.ndarray, lam: np.ndarray, positions) -> np.ndarray:
     """Candidates of lord: every level is some lambda_j, so at most the largest."""
-    return p <= lam.max(initial=0.0)
+    return values <= lam.max(initial=0.0)
 
 
 def _lord_walk(lam: memoryview, positions: list, values: list) -> list:
@@ -158,10 +166,13 @@ def _lord_levels(lam: np.ndarray, runs: np.ndarray) -> np.ndarray:
     return lam.take(offset)
 
 
-def _lond_bound(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _lond_bound(values: np.ndarray, lam: np.ndarray, positions) -> np.ndarray:
     """Candidates of lond: with ``D <= i - 1`` every level is at most ``lambda_i * i``."""
-    bound = np.arange(1.0, lam.size + 1.0)
-    return p <= np.multiply(bound, lam, out=bound)
+    if positions is None:
+        at, i = lam, np.arange(1.0, lam.size + 1.0)
+    else:
+        at, i = lam.take(positions), positions + 1.0
+    return values <= np.multiply(at, i, out=i)
 
 
 def _lond_walk(lam: memoryview, positions: list, values: list) -> list:
@@ -190,25 +201,38 @@ _RULES = {
 }
 
 
-def _levels(p: np.ndarray, schedule, rule):
-    """Shared core of ``lord_levels``/``lond_levels`` on a validated array.
+def _rejected(rule, lam: np.ndarray, values: np.ndarray, positions=None) -> np.ndarray:
+    """Rejected positions of a stream of ``lam.size`` P-values, from those it may reject.
 
     ``rule`` is a rule's ``(bound, walk, levels)`` functions, as in
-    ``_RULES``. The walk reads the schedule through a memoryview and the
-    candidates as lists, so each step of it handles Python floats only.
+    ``_RULES``; ``lam`` holds lambda_1 .. lambda_n. ``positions`` are
+    increasing, distinct 0-based positions and ``values`` their P-values;
+    every other position must hold a P-value above every level the rule
+    can give it; ``None`` stands for every position. The walk reads the
+    schedule through a memoryview and the candidates as lists, so each
+    step of it handles Python floats only.
+    """
+    bound, walk, _ = rule
+    candidates = np.flatnonzero(bound(values, lam, positions))
+    chosen = candidates if positions is None else positions[candidates]
+    hits = walk(memoryview(lam), chosen.tolist(), values[candidates].tolist())
+    return np.array(hits, dtype=np.intp)
+
+
+def _levels(p: np.ndarray, schedule, rule):
+    """``(alpha, rejected)`` of a rule on a validated array, from the core on every position.
+
     ``levels`` gets the lengths of the runs of positions that share a
     state: the first run starts the stream, and a new one starts right
     after each rejection inside it.
     """
-    bound, walk, levels = rule
     n = p.size
     lam = schedule.slice(1, n + 1)
-    positions = np.flatnonzero(bound(p, lam))
-    hits = np.array(walk(memoryview(lam), positions.tolist(), p[positions].tolist()), dtype=np.intp)
+    hits = _rejected(rule, lam, p)
     rejected = np.zeros(n, dtype=bool)
     rejected[hits] = True
     after = hits + 1
-    return levels(lam, np.diff(after[after < n], prepend=0, append=n)), rejected
+    return rule[2](lam, np.diff(after[after < n], prepend=0, append=n)), rejected
 
 
 def lord_levels(pvalues, schedule: LambdaSchedule):
@@ -245,27 +269,33 @@ def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]
     return list(map(Decision, range(1, p.size + 1), alpha.tolist(), p.tolist(), rejected.tolist()))
 
 
+def _bh_cutoff(values: np.ndarray, q: float, n: int) -> float:
+    """The largest P-value the step-up rule at level ``q`` rejects among n; -inf for none.
+
+    With sorted P-values p_(1) <= ... <= p_(n), the rule finds the largest
+    j with ``p_(j) <= q * j / n``. The thresholds rise with j (in floats
+    too), so a passing rank has ``p_(j) <= q * n / n``: only the P-values
+    up to that bound are sorted, and they are the first ranks of the full
+    order. So ``values`` may be any part of the n P-values that holds every
+    one at or below ``q * n / n``. (In floats ``q * n / n`` can exceed q.)
+    """
+    if not values.size:  # n = 0 too
+        return -np.inf
+    sorted_p = np.sort(values[values <= q * n / n])
+    passed = np.flatnonzero(sorted_p <= q * np.arange(1, sorted_p.size + 1, dtype=np.float64) / n)
+    return sorted_p[passed[-1]] if passed.size else -np.inf
+
+
 def bh_mask(pvalues, q: float) -> np.ndarray:
     """Boolean rejection mask of the static step-up rule at level ``q``.
 
     With sorted P-values p_(1) <= ... <= p_(n), find the largest j with
     ``p_(j) <= q * j / n`` and reject everything at or below p_(j); ties
-    at the threshold value are all included. The thresholds rise with j
-    (in floats too), so a passing rank has ``p_(j) <= q * n / n``: only
-    the P-values up to that bound are sorted, and they are the first
-    ranks of the full order. (In floats ``q * n / n`` can exceed q.)
+    at the threshold value are all included.
     """
     q = _check_q(q)
     p = _check_p_array(pvalues)
-    n = p.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    sorted_p = np.sort(p[p <= q * n / n])
-    passed = sorted_p <= q * np.arange(1, sorted_p.size + 1, dtype=np.float64) / n
-    if not passed.any():
-        return np.zeros(n, dtype=bool)
-    cutoff = sorted_p[int(np.flatnonzero(passed)[-1])]
-    return p <= cutoff
+    return p <= _bh_cutoff(p, q, p.size)
 
 
 def bh_reject(pvalues, q: float) -> set[int]:

@@ -7,8 +7,10 @@ of them, at uniformly random positions) are shifted right by
 Each (cell, replicate) dataset is generated once and every procedure of
 the cell decides on it (paired comparison). A cell computes P-values
 only where a decision can read them: where the statistic reaches the
-null quantile of 2q, q the cell's budget. Every other position gets the
-P-value 1.0, which changes no decision (see ``_cell_records``).
+null quantile of 2q, q the cell's budget. Every procedure decides on
+that subset alone, with the full n; a P-value of 1.0 at the other
+positions would change no decision (see ``_cell_records``), so none is
+stored.
 
 Replicates are seeded by (seed, cell parameters, replicate), so cells
 are independent of one another and of execution order, and any subset
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import GGKernel, _as_finite_array, _check_gamma, gg_quantile, gg_sample, pvalue
-from .engines import bh_mask, lond_levels, lord_levels
+from .engines import _RULES, _bh_cutoff, _check_p_array, _rejected
 from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, _fdp_fnp, pool
 from .schedules import (FieldError, LambdaSchedule, _check_nu, _check_q, _index,
                         make_adaptive_schedule, make_power_schedule)
@@ -174,13 +176,12 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
     return MixtureDataset(statistics=stats, truth=TruthLabels(config.n, positions + 1))
 
 
-def _rejections(procedure: str, pvals: np.ndarray, config: MixtureConfig,
-                schedule: LambdaSchedule | None) -> np.ndarray:
+def _hits(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
+          lam: np.ndarray | None) -> np.ndarray:
+    """Rejected positions of ``procedure`` among n, decided on the kept P-values ``val``."""
     if procedure == "bh":
-        return bh_mask(pvals, config.effective_q())
-    if procedure == "lord":
-        return lord_levels(pvals, schedule)[1]
-    return lond_levels(pvals, schedule)[1]
+        return keep[val <= _bh_cutoff(val, q, n)]
+    return _rejected(_RULES[procedure], lam, val, keep)
 
 
 def _cell_records(config: MixtureConfig, procedures,
@@ -197,17 +198,27 @@ def _cell_records(config: MixtureConfig, procedures,
     each is at most their sum q, and a lond level is at most
     ``lambda_i (D + 1) <= lambda_i i <= lambda_1 + ... + lambda_i <= q``,
     as the power and adaptive schedules do not increase. So P-values are
-    computed only where the statistic reaches ``cut``, the null quantile
-    of 2q, and the rest are set to 1.0. Survival and quantile err by far
-    less than a factor of 2, so every P-value skipped exceeds q, and no
-    decision, level or count changes. When 2q >= 1, or for gamma = 1, the
-    cut is -inf and every P-value is computed. FDP and FNP come from the
-    rejection count and the rejections at the signal positions.
+    computed only at ``keep``, where the statistic reaches ``cut``, the
+    null quantile of 2q. Survival and quantile err by far less than a
+    factor of 2, so every P-value skipped exceeds q. When 2q >= 1, or for
+    gamma = 1, the cut is -inf and every position is kept.
+
+    Every procedure decides on the kept positions alone, with the full n,
+    and no n-length P-value, mask or level array is built. This is exact:
+    a position is skipped only when 2q < 1, and then every lord level,
+    every lond level and every step-up threshold ``q j / n <= q n / n`` is
+    below 1. So a P-value of 1.0 at a skipped position would never be a
+    candidate, never enter the step-up sort and never be rejected, and
+    deciding on the subset gives the rejections, rows and CSV bytes that
+    the full vector with 1.0 there gives. FDP and FNP come from the count
+    of rejected positions and of those that are signals.
     """
     if schedule is None and any(proc != "bh" for proc in procedures):
         schedule = config.make_schedule()
+    lam = None if schedule is None else schedule.slice(1, config.n + 1)
     kernel = config.kernel
-    budget = 2.0 * config.effective_q()
+    q = config.effective_q()
+    budget = 2.0 * q
     # gamma = 1 takes no cut: its survival is one exp, and the quantile would load scipy.
     cut = -np.inf if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(kernel, budget)
     records = [[] for _ in procedures]
@@ -215,14 +226,14 @@ def _cell_records(config: MixtureConfig, procedures,
         dataset = make_mixture(config, rep)
         stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
         keep = np.flatnonzero(stats >= cut)
-        pvals = np.ones(stats.size)
-        pvals[keep] = pvalue(kernel, stats[keep])
+        val = _check_p_array(pvalue(kernel, stats[keep]))
         signals = dataset.truth.false_null_indices - 1
         for proc, out in zip(procedures, records):
-            rejected = _rejections(proc, pvals, config, schedule)
-            n_rej = int(np.count_nonzero(rejected))
-            f, g = _fdp_fnp(n_rej, int(np.count_nonzero(rejected[signals])), signals.size)
-            out.append(MetricsRecord(n=config.n, fdp=f, fnp=g, rejections=n_rej, replicate_id=rep))
+            hits = _hits(proc, config.n, keep, val, q, lam)
+            n_true = int(np.count_nonzero(np.isin(hits, signals, assume_unique=True)))
+            f, g = _fdp_fnp(hits.size, n_true, signals.size)
+            out.append(MetricsRecord(n=config.n, fdp=f, fnp=g, rejections=hits.size,
+                                     replicate_id=rep))
     return records
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfdr import engines
+from streamfdr import engines, simulation
 from streamfdr import (
     Decision,
     GGKernel,
@@ -355,20 +355,29 @@ CHAIN_FAMILIES = {
 }
 
 
+def level_token(sched, token):
+    """``k * lambda_j`` (at most 1) for ``(j, k)``; one ulp towards ``direction`` for ``(j, k, direction)``."""
+    x = min(1.0, sched.lambda_at(token[0]) * token[1])
+    if len(token) == 3:
+        x = min(1.0, max(0.0, math.nextafter(x, token[2] * math.inf)))
+    return x
+
+
 @st.composite
-def adversarial_streams(draw):
-    """A schedule and a stream of exact ties, 0s, 1s, chain links and noise."""
-    sched = SCHEDULES[draw(st.sampled_from(sorted(SCHEDULES)))]
+def adversarial_streams(draw, names=tuple(sorted(SCHEDULES))):
+    """A schedule and a stream of exact ties, near ties, 0s, 1s, chain links and noise."""
+    sched = SCHEDULES[draw(st.sampled_from(names))]
     n = draw(st.sampled_from([n for n in SEAM_LENGTHS if n <= 300]) | st.integers(0, 300))
     token = st.one_of(
         st.just(0.0),
         st.just(1.0),
         st.just((1, 1)),  # lambda_1: each lord rejection enables the next
         st.tuples(st.integers(1, n + 1), st.integers(1, 4)),  # tie with k * lambda_j
+        st.tuples(st.integers(1, n + 1), st.integers(1, 4), st.sampled_from([-1, 1])),  # one ulp off
         st.floats(0.0, 1.0),
     )
     tokens = draw(st.lists(token, min_size=n, max_size=n))
-    p = [min(1.0, sched.lambda_at(t[0]) * t[1]) if isinstance(t, tuple) else t for t in tokens]
+    p = [level_token(sched, t) if isinstance(t, tuple) else t for t in tokens]
     return sched, p
 
 
@@ -431,6 +440,93 @@ class TestSharedCore:
                 Counting.calls = 0
                 levels(p, Counting(0.01))
                 assert Counting.calls == 1
+
+
+# The schedules whose lord and lond levels all stay below 1 (not "constant",
+# whose lond levels reach the clamp), so that a P-value of 1.0 never rejects.
+BELOW_ONE = tuple(name for name in sorted(SCHEDULES) if name != "constant")
+
+
+def assert_subset_decides_as_full(p, forced, sched, q):
+    """Each procedure on the positions not forced to 1.0 rejects what it rejects on the full vector.
+
+    The subset is decided as a simulation cell decides it, with the full n.
+    """
+    forced = np.asarray(forced, dtype=bool)
+    p = np.where(forced, 1.0, np.asarray(p, dtype=np.float64))
+    keep = np.flatnonzero(~forced)
+    lam = sched.slice(1, p.size + 1)
+    full = {"lord": lord_levels(p, sched)[1], "lond": lond_levels(p, sched)[1], "bh": bh_mask(p, q)}
+    for proc, rejected in full.items():
+        hits = simulation._hits(proc, p.size, keep, p[keep], q, lam)
+        np.testing.assert_array_equal(hits, np.flatnonzero(rejected), err_msg=proc)
+
+
+@st.composite
+def forced_streams(draw):
+    """A random or adversarial stream, positions to force to 1.0 and a step-up level q < 1/2."""
+    if draw(st.booleans()):
+        sched, p = draw(adversarial_streams(BELOW_ONE))
+        p = np.array(p, dtype=np.float64)
+    else:
+        sched = SCHEDULES[draw(st.sampled_from(BELOW_ONE))]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = rng.random(draw(st.integers(0, 3000))) ** draw(st.integers(1, 8))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    forced = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(p.size) < share
+    q = draw(st.sampled_from([0.05, 0.1, 0.25, 1 / 3, 0.45]) | st.floats(1e-6, 0.499))
+    return p, forced, sched, q
+
+
+def subset_cases():
+    """Named ``(p, forced, schedule, q)`` cases for the subset core."""
+    rng = np.random.default_rng(23)
+    cases = {}
+    for name in BELOW_ONE:
+        sched = SCHEDULES[name]
+        for rule in ("lord", "lond"):
+            for family, options in CHAIN_FAMILIES.items():
+                p = chain(rule, sched, 600, **options)
+                cases[f"{rule} chain {family}, {name}, every 5th forced"] = (
+                    p, np.arange(600) % 5 == 4, sched, 0.1)
+                cases[f"{rule} chain {family}, {name}, a third forced"] = (
+                    p, rng.random(600) < 1 / 3, sched, 0.1)
+        for k in (1, 2):  # one ulp above k * lambda_i at every i: nothing rejects
+            above = [math.nextafter(sched.lambda_at(i) * k, 1.0) for i in range(1, 601)]
+            cases[f"one ulp above {k} lambda_i, {name}"] = (above, rng.random(600) < 0.2, sched, 0.1)
+        cases[f"all zero, {name}, half forced"] = (np.zeros(1000), rng.random(1000) < 0.5, sched, 0.1)
+        for n in (0, 1):
+            for value in (0.0, 0.5, 1.0):
+                cases[f"n = {n} of {value}, {name}, none forced"] = ([value] * n, [False] * n, sched, 0.1)
+                cases[f"n = {n} of {value}, {name}, all forced"] = ([value] * n, [True] * n, sched, 0.1)
+    # 0.05 * 6 / 6 > 0.05, and a P-value between them passes at the last rank.
+    top = [0.05 / 6] * 5 + [0.05 * 6 / 6]
+    cases["bh top rank above q"] = (top, [False] * 6, SCHEDULES["power"], 0.05)
+    cases["bh top rank above q, first forced"] = (top, [True] + [False] * 5, SCHEDULES["power"], 0.05)
+    return cases
+
+
+SUBSET_CASES = subset_cases()
+
+
+class TestSubsetCore:
+    """Deciding on the positions a cell keeps gives the full vector's rejections.
+
+    Positions outside the subset hold 1.0, and every level is below 1.
+    """
+
+    @given(forced_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_vector(self, case):
+        assert_subset_decides_as_full(*case)
+
+    @pytest.mark.parametrize("name", sorted(SUBSET_CASES))
+    def test_named_cases(self, name):
+        assert_subset_decides_as_full(*SUBSET_CASES[name])
+
+    def test_bh_top_rank_rejects_every_position(self):
+        p, forced, sched, q = SUBSET_CASES["bh top rank above q"]
+        assert bh_mask(p, q).all()
 
 
 def count_walked(monkeypatch):

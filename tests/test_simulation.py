@@ -452,18 +452,24 @@ def reference_records(config, procedures, masks=None):
 
 
 def cell_records(config, procedures, masks):
-    """``_cell_records`` with each rejection mask it decides appended to ``masks``."""
-    original = simulation._rejections
+    """``_cell_records`` with the rejection mask of each decision it makes appended to ``masks``.
+
+    Each mask is rebuilt from the rejected positions the cell returns.
+    """
+    original = simulation._hits
 
     def recorded(*args):
-        masks.append(original(*args))
-        return masks[-1]
+        hits = original(*args)
+        mask = np.zeros(config.n, dtype=bool)
+        mask[hits] = True
+        masks.append(mask)
+        return hits
 
-    simulation._rejections = recorded
+    simulation._hits = recorded
     try:
         return simulation._cell_records(config, procedures)
     finally:
-        simulation._rejections = original
+        simulation._hits = original
 
 
 class TestReadablePValues:
@@ -572,6 +578,39 @@ class TestReadablePValues:
             rejections[name] = [int(mask.sum()) for mask in masks]
         assert rejections["edge"][2] == n and rejections["below edge"][2] == 0
         assert min(rejections["after discoveries"]) > 0
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("schedule", ["power", "adaptive"])
+    @pytest.mark.parametrize("kept", ["none", "all"])
+    def test_no_statistic_or_every_statistic_kept(self, gamma, schedule, kept, monkeypatch):
+        # An empty subset: every statistic just below the cut. The full set:
+        # every statistic at or above it, so some P-values lie between q and 2q.
+        n = 700
+        config = small_config(n=n, gamma=gamma, schedule=schedule, nu=2.0, reps=1)
+        cut = gg_quantile(config.kernel, 2 * config.effective_q())
+        rng = np.random.default_rng(11)
+        if kept == "none":
+            stats_ = np.nextafter(cut, -np.inf) - 4.0 * rng.random(n)
+        else:
+            stats_ = cut + 6.0 * rng.random(n)
+            stats_[0] = cut
+        dataset = simulation.MixtureDataset(stats_, simulation.TruthLabels(n, range(1, n + 1, 7)))
+        monkeypatch.setattr(simulation, "make_mixture", lambda cfg, rep: dataset)
+        sizes = []
+        original = simulation.pvalue
+
+        def counted(kernel, x):
+            sizes.append(np.size(x))
+            return original(kernel, x)
+
+        monkeypatch.setattr(simulation, "pvalue", counted)
+        masks = self.assert_exact(config)
+        assert sizes == [0 if kept == "none" else n]
+        rejections = [int(mask.sum()) for mask in masks]
+        if kept == "none":
+            assert rejections == [0, 0, 0]
+        else:
+            assert all(0 < count < n for count in rejections)
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
