@@ -222,9 +222,9 @@ def _rejected(rule, lam: np.ndarray, values: np.ndarray, positions=None) -> np.n
 def _levels(p: np.ndarray, schedule, rule):
     """``(alpha, rejected)`` of a rule on a validated array, from the core on every position.
 
-    ``levels`` gets the lengths of the runs of positions that share a
-    state: the first run starts the stream, and a new one starts right
-    after each rejection inside it.
+    The rule's ``levels`` gets the lengths of the runs of positions that
+    share a state: the first run starts the stream, and a new one starts
+    right after each rejection inside it.
     """
     n = p.size
     lam = schedule.slice(1, n + 1)

@@ -495,10 +495,10 @@ def subset_cases():
             above = [math.nextafter(sched.lambda_at(i) * k, 1.0) for i in range(1, 601)]
             cases[f"one ulp above {k} lambda_i, {name}"] = (above, rng.random(600) < 0.2, sched, 0.1)
         cases[f"all zero, {name}, half forced"] = (np.zeros(1000), rng.random(1000) < 0.5, sched, 0.1)
-        for n in (0, 1):
-            for value in (0.0, 0.5, 1.0):
-                cases[f"n = {n} of {value}, {name}, none forced"] = ([value] * n, [False] * n, sched, 0.1)
-                cases[f"n = {n} of {value}, {name}, all forced"] = ([value] * n, [True] * n, sched, 0.1)
+        cases[f"n = 0, {name}"] = ([], [], sched, 0.1)
+        for value in (0.0, 0.5, 1.0):
+            cases[f"n = 1 of {value}, {name}, kept"] = ([value], [False], sched, 0.1)
+            cases[f"n = 1 of {value}, {name}, forced"] = ([value], [True], sched, 0.1)
     # 0.05 * 6 / 6 > 0.05, and a P-value between them passes at the last rank.
     top = [0.05 / 6] * 5 + [0.05 * 6 / 6]
     cases["bh top rank above q"] = (top, [False] * 6, SCHEDULES["power"], 0.05)
@@ -523,10 +523,6 @@ class TestSubsetCore:
     @pytest.mark.parametrize("name", sorted(SUBSET_CASES))
     def test_named_cases(self, name):
         assert_subset_decides_as_full(*SUBSET_CASES[name])
-
-    def test_bh_top_rank_rejects_every_position(self):
-        p, forced, sched, q = SUBSET_CASES["bh top rank above q"]
-        assert bh_mask(p, q).all()
 
 
 def count_walked(monkeypatch):

@@ -472,6 +472,19 @@ def cell_records(config, procedures, masks):
         simulation._hits = original
 
 
+def pvalue_sizes(monkeypatch):
+    """The input size of each ``simulation.pvalue`` call, recorded from now on."""
+    sizes = []
+    original = simulation.pvalue
+
+    def counted(kernel, x):
+        sizes.append(np.size(x))
+        return original(kernel, x)
+
+    monkeypatch.setattr(simulation, "pvalue", counted)
+    return sizes
+
+
 class TestReadablePValues:
     """A cell computes P-values only where a decision can read them, and its rows stay exact."""
 
@@ -515,14 +528,7 @@ class TestReadablePValues:
         ],
     )
     def test_pvalue_runs_on_positions_at_or_above_the_cut(self, overrides, evaluated, monkeypatch):
-        sizes = []
-        original = simulation.pvalue
-
-        def counted(kernel, x):
-            sizes.append(np.size(x))
-            return original(kernel, x)
-
-        monkeypatch.setattr(simulation, "pvalue", counted)
+        sizes = pvalue_sizes(monkeypatch)
         config = small_config(reps=2, **overrides)
         records = simulation._cell_records(config, self.PROCEDURES)
         assert len(sizes) == config.reps
@@ -596,14 +602,7 @@ class TestReadablePValues:
             stats_[0] = cut
         dataset = simulation.MixtureDataset(stats_, simulation.TruthLabels(n, range(1, n + 1, 7)))
         monkeypatch.setattr(simulation, "make_mixture", lambda cfg, rep: dataset)
-        sizes = []
-        original = simulation.pvalue
-
-        def counted(kernel, x):
-            sizes.append(np.size(x))
-            return original(kernel, x)
-
-        monkeypatch.setattr(simulation, "pvalue", counted)
+        sizes = pvalue_sizes(monkeypatch)
         masks = self.assert_exact(config)
         assert sizes == [0 if kept == "none" else n]
         rejections = [int(mask.sum()) for mask in masks]
