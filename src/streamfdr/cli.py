@@ -141,6 +141,9 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     return EXIT_OK
 
 
+_STREAM_RULES = {"lord": (LordState, lord_step), "lond": (LondState, lond_step)}
+
+
 def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
                stdin=None, stdout=None, stderr=None) -> int:
     """Decide one P-value per input line, echoing one decision line each.
@@ -155,15 +158,17 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
+    if procedure not in _STREAM_RULES:
+        print(f"error: --procedure: unknown procedure {procedure!r}; choose from {tuple(_STREAM_RULES)}",
+              file=stderr)
+        return EXIT_CONFIG
     try:
         schedule = _make_schedule_from_flags(q, nu, adaptive)
     except ValueError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_CONFIG
-    if procedure == "lord":
-        state, step = LordState(), lord_step
-    else:
-        state, step = LondState(), lond_step
+    state_type, step = _STREAM_RULES[procedure]
+    state = state_type()
     count = 0
     discoveries = 0
     try:
@@ -240,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=None, help="override the replicate count")
 
     p_stream = sub.add_parser("stream", help="decide P-values read from stdin, one per line")
-    p_stream.add_argument("--procedure", choices=("lord", "lond"), required=True)
+    p_stream.add_argument("--procedure", choices=tuple(_STREAM_RULES), required=True)
     _add_schedule_flags(p_stream)
 
     p_sched = sub.add_parser("schedule", help="print the head of a budget schedule")

@@ -11,18 +11,20 @@ infinite sum equals the total FDR budget ``q``. Two kinds are provided:
 A value is a function of its index alone: one expression over
 ``arange(lo, hi)`` builds any range, and numpy's elementwise loops give
 each element the same bits wherever it sits in the array, so a value
-reads the same through any call and in any order. Bulk reads from index
-1 grow a contiguous read-only prefix lambda_1 .. lambda_m (at least
-doubling it) and get views of it; other bulk reads build their range.
-The prefix is the only thing a schedule writes after construction, so
-``lambda_at`` keeps nothing: past the prefix each call builds its one
-value. A reader that steps through the values keeps its own cursor
-(``_ChunkCursor``, which the engine states inherit): a copy of the 4096
-values from the index it last missed at, refilled through ``slice``
-when it moves past them, so a stream builds each value once and holds
-one window however long it runs, and streams sharing a schedule never
-evict each other's window. ``slice`` and ``prefix`` return read-only
-arrays.
+reads the same through any call and in any order. A schedule is a
+frozen dataclass of its four defining fields and keeps nothing else:
+``slice`` and ``prefix`` build the range asked for and return it as a
+fresh read-only array, and ``lambda_at`` builds its one value. So a
+schedule is immutable, hashable and safe to share between threads and
+streams, and it holds the same few bytes however far it is read. A
+reader that steps through the values keeps its own cursor
+(``_ChunkCursor``, which the engine states inherit): the 4096 values
+from the index it last missed at, read through ``slice`` when it moves
+past them, so a stream builds each value once and holds one window
+however long it runs, and streams sharing a schedule never evict each
+other's window. A caller that reads one range many times, such as a
+simulation grid sharing lambda_1 .. lambda_n across its cells, keeps
+the array it got.
 
 Only ``make_power_schedule`` needs scipy (for ``zeta``), and it imports
 ``scipy.special`` on its first call; adaptive schedules never load scipy,
@@ -31,7 +33,7 @@ which keeps the cold start of ``streamfdr stream --adaptive`` short.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,14 +83,15 @@ def _check_nu(nu: float) -> float:
 class _ChunkCursor:
     """Point reads for one reader: ``(schedule, lo, hi, values)`` of the window read last.
 
-    ``values`` is a memoryview of an owned copy of lambda_lo ..
-    lambda_{hi-1}, the ``_CHUNK`` values (32 KB) from the index that
-    last missed. The engine states inherit the cursor. It is a
-    class-level default shadowed per instance, not a field, so it stays
-    out of ``==``, ``repr`` and ``asdict``; ``__getstate__`` drops it from
-    pickles and copies (a memoryview cannot be pickled), which refill on
-    their first read. A miss refills through ``schedule.slice``, so any
-    object with that method serves as a schedule.
+    ``values`` is a memoryview of the read-only array that
+    ``schedule.slice`` returned for lambda_lo .. lambda_{hi-1}, the
+    ``_CHUNK`` values (32 KB) from the index that last missed; the slice
+    is fresh, so the cursor alone holds it. The engine states inherit the
+    cursor. It is a class-level default shadowed per instance, not a
+    field, so it stays out of ``==``, ``repr`` and ``asdict``;
+    ``__getstate__`` drops it from pickles and copies (a memoryview cannot
+    be pickled), which refill on their first read. Any object whose
+    ``slice`` returns a float64 array serves as a schedule.
     """
 
     _cursor = (None, 1, 1, None)
@@ -100,8 +103,7 @@ class _ChunkCursor:
         owner, lo, hi, values = self._cursor
         if owner is not schedule or not lo <= i < hi:
             lo, hi = i, i + _CHUNK
-            # A copy: a view of the prefix would keep the whole prefix alive.
-            values = memoryview(np.array(schedule.slice(lo, hi), dtype=np.float64))
+            values = memoryview(schedule.slice(lo, hi))
             self._cursor = (schedule, lo, hi, values)
         return values[i - lo]
 
@@ -109,23 +111,20 @@ class _ChunkCursor:
         return {name: value for name, value in vars(self).items() if name != "_cursor"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LambdaSchedule:
-    """A concrete significance-budget sequence.
+    """A concrete significance-budget sequence, immutable and hashable.
 
     ``normalizer`` is the constant L that makes the infinite sum equal
-    ``q``. Each value is a function of its index alone, and any range
-    is built directly. Safe to share without a lock: the prefix, the one
-    attribute written after construction, is replaced whole with correct
-    values and never written once published.
+    ``q``. The four fields are the whole state: each value is a function
+    of its index alone, every read builds the values it returns and keeps
+    nothing, so a schedule is safe to share without a lock.
     """
 
     kind: str
     q: float
     nu: float | None
     normalizer: float
-    # An empty float64 array, read-only because bytes are immutable.
-    _prefix: np.ndarray = field(default_factory=lambda: np.frombuffer(b""), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "adaptive"):
@@ -140,39 +139,28 @@ class LambdaSchedule:
     def lambda_at(self, i: int) -> float:
         """The i-th budget value, i >= 1.
 
-        A point read: inside the prefix it reads the prefix, past it each
-        call builds the one value (2-4 us on a 2-vCPU x86 host) and keeps
-        nothing. For runs of values use ``slice``/``prefix``, or the
-        steps, whose state keeps the window it reads.
+        A point read: each call builds the one value (2-4 us on a 2-vCPU
+        x86 host) and keeps nothing. For runs of values use
+        ``slice``/``prefix``, or the steps, whose state keeps the window
+        it reads.
         """
         i = _index("index", i, 1)
-        prefix = self._prefix
-        return float(prefix[i - 1] if i <= prefix.size else self._values(i, i + 1)[0])
+        return float(self._values(i, i + 1)[0])
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
-        """Values lambda_lo .. lambda_{hi-1} as a read-only array (lo >= 1).
+        """Values lambda_lo .. lambda_{hi-1} as a fresh read-only array (lo >= 1).
 
-        A range inside the prefix is a view of it. From ``lo == 1`` the
-        prefix first grows to cover the range, at least doubling; any
-        other range is built and leaves the prefix as is.
+        Each call builds the range (about 1.3 ms per 1e5 power values) and
+        the schedule keeps none of it; a caller reading one range often
+        keeps the array.
         """
         lo = _index("lo", lo, 1)
-        hi = _index("hi", hi, lo)
-        prefix = self._prefix
-        if hi - 1 <= prefix.size:
-            return prefix[lo - 1 : hi - 1]
-        if lo > 1:
-            values = self._values(lo, hi)
-            values.flags.writeable = False
-            return values
-        size = prefix.size
-        grown = np.concatenate([prefix, self._values(size + 1, max(hi - 1, 2 * size) + 1)])
-        grown.flags.writeable = False
-        self._prefix = grown
-        return grown[: hi - 1]
+        values = self._values(lo, _index("hi", hi, lo))
+        values.flags.writeable = False
+        return values
 
     def prefix(self, n: int) -> np.ndarray:
-        """lambda_1 .. lambda_n as a read-only view of the grown prefix."""
+        """lambda_1 .. lambda_n as a fresh read-only array: ``slice(1, n + 1)``."""
         return self.slice(1, n + 1)
 
 

@@ -185,13 +185,14 @@ def _hits(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
 
 
 def _cell_records(config: MixtureConfig, procedures,
-                  schedule: LambdaSchedule | None = None) -> list[list[MetricsRecord]]:
+                  lam: np.ndarray | None = None) -> list[list[MetricsRecord]]:
     """One record list per entry of ``procedures``, in order, for one cell.
 
     Each replicate's dataset and P-values are built once and every
-    procedure decides on them. ``schedule``, when given, must be the one
-    ``config.make_schedule()`` builds; otherwise the cell builds it if a
-    streaming rule needs it.
+    procedure decides on them. ``lam``, when given, must be
+    ``config.make_schedule().prefix(config.n)``, so the cells of one n
+    share one lambda array; otherwise the cell builds it if a streaming
+    rule needs it.
 
     Only P-values at or below the budget q can be rejected: a step-up
     threshold q j / n is at most q, a lord level is one schedule value and
@@ -213,9 +214,8 @@ def _cell_records(config: MixtureConfig, procedures,
     the full vector with 1.0 there gives. FDP and FNP come from the count
     of rejected positions and of those that are signals.
     """
-    if schedule is None and any(proc != "bh" for proc in procedures):
-        schedule = config.make_schedule()
-    lam = None if schedule is None else schedule.slice(1, config.n + 1)
+    if lam is None and any(proc != "bh" for proc in procedures):
+        lam = config.make_schedule().prefix(config.n)
     kernel = config.kernel
     q = config.effective_q()
     budget = 2.0 * q
@@ -272,22 +272,21 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     procedure innermost) and seeded independently, so a rerun of any
     subset reproduces the same rows. Each replicate is generated once per
     cell and decided by every procedure, so the rows equal those of
-    ``run_cell`` per procedure plus ``pool``. Cells that share a schedule
-    (same kind, budget and exponent) read one schedule object.
+    ``run_cell`` per procedure plus ``pool``. The cells of one n share
+    one lambda array.
     """
     r_values = list(r_values)
     n_values = list(n_values)
     if not r_values or not n_values:
         raise ValueError("r_values and n_values must be non-empty")
-    schedules = {}  # by (kind, budget, exponent); under inverse-log the budget varies with n
     rows = []
     for n in n_values:
+        lam = None  # one build per n: the budget, hence lambda, may vary with n
         for r in r_values:
             cell = replace(base, n=n, r=float(r))
-            key = (cell.schedule, cell.effective_q(), cell.nu)
-            if key not in schedules and any(proc != "bh" for proc in cell.procedures):
-                schedules[key] = cell.make_schedule()
-            cell_records = _cell_records(cell, cell.procedures, schedules.get(key))
+            if lam is None and any(proc != "bh" for proc in cell.procedures):
+                lam = cell.make_schedule().prefix(n)
+            cell_records = _cell_records(cell, cell.procedures, lam)
             for procedure, records in zip(cell.procedures, cell_records):
                 rows.extend(_row(cell, procedure, rec) for rec in records)
                 rows.append(_row(cell, procedure, pool(records)))

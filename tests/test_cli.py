@@ -270,6 +270,18 @@ class TestStreamCommand:
         assert fields[3] == "REJECT"
         assert out[1] == "# discoveries=1 n=1"
 
+    @pytest.mark.parametrize("procedure", ["lorx", "bh", "LORD", ""])
+    def test_unknown_procedure_is_named_before_reading(self, procedure):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("stdin was read")
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = cmd_stream(procedure, 0.1, 2.0, False, stdin=Unread(), stdout=stdout, stderr=stderr)
+        assert code == EXIT_CONFIG and stdout.getvalue() == ""
+        assert stderr.getvalue() == (f"error: --procedure: unknown procedure {procedure!r}; "
+                                     "choose from ('lord', 'lond')\n")
+
     def test_empty_input(self):
         code, out, _ = run_stream_inproc([])
         assert code == EXIT_OK

@@ -5,15 +5,16 @@ import math
 import pickle
 import sys
 import threading
-from dataclasses import asdict, astuple
+from dataclasses import FrozenInstanceError, asdict, astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfdr import (LambdaSchedule, LondState, LordState, lond_step, lord_step,
-                       make_adaptive_schedule, make_power_schedule, schedules)
+from streamfdr import (LambdaSchedule, LondState, LordState, MixtureConfig, lond_levels, lond_step,
+                       lord_levels, lord_step, make_adaptive_schedule, make_power_schedule, run_grid,
+                       schedules)
 
 CHUNK = schedules._CHUNK
 # The reference: ``chunk_aligned_values`` evaluates each value inside the
@@ -232,7 +233,7 @@ class TestLambdaAccess:
         for sched in (make_power_schedule(1.05, 0.1), make_adaptive_schedule(0.1)):
             assert np.all(np.diff(sched.prefix(10**6)) <= 0)
 
-    def test_values_far_past_the_prefix(self):
+    def test_values_far_from_the_start(self):
         sched = make_power_schedule(2.0, 0.1)
         i = 10**7 + 12345
         expected = sched.normalizer * float(np.float64(i)) ** -2.0
@@ -264,7 +265,7 @@ class TestLambdaAccess:
 
 
 class TestFarPath:
-    """Point reads, steps and slices past the prefix; the schedule keeps none of their chunks."""
+    """Point reads, steps and slices far from index 1; the schedule keeps none of their chunks."""
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_far_reads_agree_bitwise(self, kind):
@@ -289,8 +290,7 @@ class TestFarPath:
         for _ in range(3):
             lond_step(state, sched, 0.5)
         # Point reads, far slices and steps write nothing to the schedule:
-        # the prefix is still the empty one, and no attribute was added.
-        assert sched._prefix.size == 0
+        # no attribute was added or replaced.
         assert vars(sched).keys() == attributes.keys()
         assert all(vars(sched)[name] is value for name, value in attributes.items())
 
@@ -320,7 +320,7 @@ class TestFarPath:
         assert builds == [lo, lo + CHUNK, lo + 2 * CHUNK]
         assert bits([d.alpha for d in decisions]) == want
         # The state holds the chunk it read last; the schedule keeps nothing.
-        assert bits(state._cursor[3]) == want[2 * CHUNK :] and sched._prefix.size == 0
+        assert bits(state._cursor[3]) == want[2 * CHUNK :]
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_threads_point_read_far_values(self, kind):
@@ -377,80 +377,51 @@ def bits(values):
 
 
 class TestStore:
-    """The read-only prefix grown by bulk reads, the one store a schedule writes."""
+    """What bulk reads return; the schedule itself stores nothing."""
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_returned_arrays_are_read_only(self, kind):
         sched = MAKERS[kind]()
-        far = sched.slice(3 * CHUNK - 5, 3 * CHUNK + 5)  # past the prefix, across a seam
-        assert sched._prefix.size == 0
+        far = sched.slice(3 * CHUNK - 5, 3 * CHUNK + 5)  # across a seam
         views = [far, sched.slice(2 * 10**7, 2 * 10**7 + 3), sched.prefix(10),
                  sched.slice(1, CHUNK + 2), sched.slice(7, 20), sched.slice(CHUNK - 2, 2 * CHUNK),
-                 sched.slice(2 * CHUNK - 3, 4 * CHUNK)]  # the last starts inside the prefix, ends past it
+                 sched.slice(2 * CHUNK - 3, 4 * CHUNK)]
         for values in views:
             assert values.size and not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 1.0
             with pytest.raises(ValueError):
                 values += 1.0
-        assert not sched._prefix.flags.writeable
         assert sched.slice(5, 5).size == sched.slice(10**7, 10**7).size == sched.prefix(0).size == 0
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
-    def test_views_survive_growth(self, kind):
+    def test_a_schedule_is_never_written(self, kind, monkeypatch):
         sched = MAKERS[kind]()
-        early = [sched.prefix(5000), sched.slice(100, 4000)]
-        copies = [bits(values) for values in early]
-        base = sched._prefix
+        with pytest.raises(FrozenInstanceError):
+            sched.normalizer = 1.0
+        with pytest.raises(FrozenInstanceError):
+            sched.cache = None
+        attributes = dict(vars(sched))
+        sched.lambda_at(5)
+        sched.lambda_at(2 * 10**7)
+        sched.slice(CHUNK - 3, 3 * CHUNK)
         sched.prefix(10**5)
-        sched.prefix(3 * 10**5)
-        assert sched._prefix is not base and sched._prefix.size >= 3 * 10**5
-        assert [bits(values) for values in early] == copies
-        assert bits(sched.prefix(5000)) == copies[0]
-
-    def test_stepwise_growth_builds_each_value_once(self, monkeypatch):
-        sched = make_power_schedule(1.05, 0.1)
-        builds = counting_builds(monkeypatch)
-        sizes = [0]
-        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 1, 5 * CHUNK,
-                  10 * CHUNK + 7, 10 * CHUNK + 8, 40 * CHUNK, 41 * CHUNK, 200 * CHUNK + 1):
-            sched.prefix(n)
-            size = sched._prefix.size
-            if size != sizes[-1]:  # grown: to n, or to at least twice the old size
-                assert size == max(n, 2 * sizes[-1])
-                sizes.append(size)
-            # A bulk read of n values keeps at most about 2n.
-            assert n <= size <= 2 * n
-        # Each growth builds only the values past the old prefix, in order.
-        assert builds == [size + 1 for size in sizes[:-1]]
-
-    def test_point_reads_inside_the_prefix_build_nothing(self, monkeypatch):
-        sched = make_power_schedule(1.05, 0.1)
-        head = bits(sched.prefix(3 * CHUNK))
-        builds = counting_builds(monkeypatch)
-        for i in (1, 2 * CHUNK + 1, 2, 3 * CHUNK, CHUNK + 7):
-            got = sched.lambda_at(i)
-            assert type(got) is float and bits([got]) == head[i - 1 : i]
-        # Nor do steps: their cursors copy from the prefix.
-        lord, lond = LordState(), LondState(next_index=CHUNK - 2)
-        steps = range(2 * CHUNK)
-        alphas = [(lord_step(lord, sched, 1.0).alpha, lond_step(lond, sched, 1.0).alpha) for _ in steps]
-        assert bits([a for a, _ in alphas]) == head[: 2 * CHUNK]
-        assert bits([a for _, a in alphas]) == head[CHUNK - 3 : 3 * CHUNK - 3]
-        assert builds == [] and sched._prefix.size == 3 * CHUNK
-        # The cursors own their chunk: a view would keep the whole prefix alive.
-        assert lord._cursor[3].obj.base is None and lond._cursor[3].obj.base is None
-
-    def test_growth_at_least_doubles(self):
-        # Copying stays linear: reading 4096 more values at a time publishes a
-        # new prefix only when the size doubles (the first read keeps one value).
-        sched = make_adaptive_schedule(0.1)
-        sizes = []
-        for n in range(1, 64 * CHUNK + 2, CHUNK):
-            sched.prefix(n)
-            if sched._prefix.size not in sizes:
-                sizes.append(sched._prefix.size)
-        assert sizes == [1] + [(CHUNK + 1) * 2**k for k in range(7)]
+        lord_step(LordState(), sched, 0.01)
+        lond_step(LondState(next_index=2 * 10**7), sched, 0.5)
+        p = np.linspace(0.0, 1.0, 3001) ** 4
+        lord_levels(p, sched)
+        lond_levels(p, sched)
+        # run_grid builds its schedules through make_schedule: hand it this one,
+        # equal to the one it would build.
+        config = MixtureConfig(n=500, beta=0.4, r=0.5, reps=2, schedule=kind)
+        assert config.make_schedule() == sched
+        cells = []
+        monkeypatch.setattr(MixtureConfig, "make_schedule", lambda cell: cells.append(cell) or sched)
+        run_grid(config, r_values=[0.5, 1.1], n_values=[400, 500])
+        assert [cell.n for cell in cells] == [400, 500]
+        assert vars(sched).keys() == attributes.keys()
+        assert all(vars(sched)[name] is value for name, value in attributes.items())
+        assert sched == MAKERS[kind]() and hash(sched) == hash(MAKERS[kind]())
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_mixed_access_orders_agree_bitwise(self, kind):
@@ -462,26 +433,23 @@ class TestStore:
         for order in range(3):
             sched = make()
             if order == 1:
-                sched.prefix(CHUNK + 1)  # growth before any point read
+                sched.prefix(CHUNK + 1)  # a bulk read before any point read
             for i in points:
                 assert bits([sched.lambda_at(i)]) == want[i], (order, i)
-            if order != 1:
-                assert sched._prefix.size == 0  # point reads never fill the prefix
             if order == 2:
                 sched.slice(5 * CHUNK - 3, 9 * CHUNK)  # a far slice first
             assert bits(sched.prefix(3 * CHUNK + 1)) == head[: 3 * CHUNK + 1]
-            for i in points:  # inside the prefix now, and past it
+            for i in points:  # after a bulk read, inside its range and past it
                 assert bits([sched.lambda_at(i)]) == want[i], (order, i)
-            across = sched.slice(2 * CHUNK + 9, 12 * CHUNK + 1)  # from inside the prefix to past it
+            across = sched.slice(2 * CHUNK + 9, 12 * CHUNK + 1)  # overlapping the prefix read last
             assert bits(across) == head[2 * CHUNK + 8 :]
             assert bits(sched.prefix(12 * CHUNK)) == head
             assert bits(sched.slice(CHUNK, 3 * CHUNK)) == head[CHUNK - 1 : 3 * CHUNK - 1]
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
-    def test_threads_growing_the_prefix(self, kind):
-        # Growth publishes a new array whole; a reader holding the old one,
-        # or a thread whose smaller prefix is stored last, still reads the
-        # right values.
+    def test_threads_reading_ranges(self, kind):
+        # Threads reading prefixes and slices of one schedule at once each
+        # read the right values.
         sched = MAKERS[kind]()
         head = MAKERS[kind]().prefix(61 * CHUNK).view(np.uint64)
         sizes = (1, CHUNK + 1, 7 * CHUNK, 20 * CHUNK + 3, 60 * CHUNK)

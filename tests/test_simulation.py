@@ -12,6 +12,7 @@ from streamfdr import simulation
 from streamfdr import (
     AltPValueCDF,
     GGKernel,
+    LambdaSchedule,
     LondState,
     LordState,
     MixtureConfig,
@@ -402,25 +403,25 @@ class TestOneGenerationPerReplicate:
     @pytest.mark.parametrize(
         "overrides, builds",
         [
-            ({}, 1),
-            ({"schedule": "adaptive"}, 1),
-            ({"q_rule": "inverse-log"}, 2),  # the budget 1/log n differs per n
-            ({"procedures": ("bh",)}, 0),
+            ({}, [(1, 401), (1, 501)]),
+            ({"schedule": "adaptive"}, [(1, 401), (1, 501)]),
+            ({"q_rule": "inverse-log"}, [(1, 401), (1, 501)]),  # the budget 1/log n differs per n
+            ({"procedures": ("bh",)}, []),
         ],
     )
-    def test_one_schedule_per_kind_budget_and_exponent(self, overrides, builds, monkeypatch):
+    def test_one_lambda_build_per_n(self, overrides, builds, monkeypatch):
+        # The cells of one n share lambda_1 .. lambda_n, built once for both r values.
         built = []
-        for name in ("make_power_schedule", "make_adaptive_schedule"):
-            original = getattr(simulation, name)
+        original = LambdaSchedule._values
 
-            def wrapper(*args, _original=original, **kwargs):
-                built.append(_original(*args, **kwargs))
-                return built[-1]
+        def counting(sched, lo, hi):
+            built.append((lo, hi))
+            return original(sched, lo, hi)
 
-            monkeypatch.setattr(simulation, name, wrapper)
+        monkeypatch.setattr(LambdaSchedule, "_values", counting)
         cfg = small_config(n=500, reps=2, **overrides)
         rows = run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500])
-        assert len(built) == builds
+        assert built == builds
         monkeypatch.undo()
         assert rows == self.per_procedure_rows(cfg, [0.5, 0.9], [400, 500])
 
