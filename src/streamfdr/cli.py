@@ -1,10 +1,10 @@
 """Command-line surface: simulate experiment grids, stream decisions, dump schedules.
 
 Exit codes: 0 success, 2 malformed flags or config, 3 unwritable output,
-4 malformed stream input. The stream command is strictly online: one
-decision line is emitted and flushed per input line before the next
-line is read, and a bad line aborts immediately (silently skipping
-inputs would void the error-control guarantee).
+4 malformed stream input. The stream command is strictly online: each
+decision depends only on earlier lines and is written and flushed before
+the command waits for more input, and a bad line aborts immediately
+(silently skipping inputs would void the error-control guarantee).
 """
 
 from __future__ import annotations
@@ -141,25 +141,65 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     return EXIT_OK
 
 
-_STREAM_RULES = {"lord": (LordState, lord_step), "lond": (LondState, lond_step)}
+_STREAM_RULES = ("lord", "lond")
+_BLOCK_BYTES = 1 << 16
+
+
+def _stream_input(stdin):
+    """The blocks of complete lines of ``stdin`` as they arrive, and the parser of one line.
+
+    A stream with a binary ``buffer``, as ``sys.stdin`` has, is read with
+    one ``read1`` per block: that returns what has arrived, waiting only
+    when nothing has. Its lines are decoded one by one with the stream's
+    ``encoding`` and ``errors``, so a line that does not decode is a bad
+    line like any other. A text stream without one, such as
+    ``io.StringIO``, gives its text. Lines split at ``\\n`` only, as
+    ``sys.stdin`` splits them on Linux.
+    """
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is None:
+        return _split_lines(stdin.read, "\n"), float
+    encoding, errors = stdin.encoding, stdin.errors
+    return _split_lines(buffer.read1, b"\n"), lambda line: float(line.decode(encoding, errors))
+
+
+def _split_lines(read, newline):
+    """Yield the list of complete lines in each ``read``; an unterminated last line comes alone at the end."""
+    empty = newline[:0]
+    head = []  # the pieces of a line still waiting for its newline
+    while data := read(_BLOCK_BYTES):
+        lines = data.split(newline)
+        tail = lines.pop()
+        if lines:
+            if head:
+                head.append(lines[0])
+                lines[0] = empty.join(head)
+                head = []
+            yield lines
+        if tail:
+            head.append(tail)
+    if head:
+        yield [empty.join(head)]
 
 
 def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
                stdin=None, stdout=None, stderr=None) -> int:
     """Decide one P-value per input line, echoing one decision line each.
 
-    Output format: ``index alpha p REJECT|ACCEPT``, flushed per line.
-    End of input emits ``# discoveries=<D> n=<count>``. A line that does
-    not parse as a P-value in [0, 1] emits ``# error line <k>`` to
-    diagnostics and aborts with exit code 4. Output that cannot be
-    written, such as a pipe whose reader has closed, ends the run with one
-    ``error:`` line and exit code 3.
+    Output format: ``index alpha p REJECT|ACCEPT``. Every decision is
+    written and flushed before the command waits for more input; lines
+    that have already arrived are decided and written as one block. End
+    of input emits ``# discoveries=<D> n=<count>``. A line that does not
+    parse as a P-value in [0, 1] emits ``# error line <k>`` to diagnostics,
+    after the decisions before it, and aborts with exit code 4. Output
+    that cannot be written, such as a pipe whose reader has closed, ends
+    the run with one ``error:`` line and exit code 3.
     """
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     if procedure not in _STREAM_RULES:
-        print(f"error: --procedure: unknown procedure {procedure!r}; choose from {tuple(_STREAM_RULES)}",
+        print(f"error: --procedure: unknown procedure {procedure!r}; choose from {_STREAM_RULES}",
               file=stderr)
         return EXIT_CONFIG
     try:
@@ -167,24 +207,31 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     except ValueError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_CONFIG
-    state_type, step = _STREAM_RULES[procedure]
+    # Looked up per call, not bound at import, so a patched step is the one run.
+    state_type, step = {"lord": (LordState, lord_step), "lond": (LondState, lond_step)}[procedure]
     state = state_type()
+    blocks, parse = _stream_input(stdin)
     count = 0
     discoveries = 0
     try:
-        for line in stdin:
-            count += 1
-            try:
-                # float() rejects unparseable text, the step a P-value outside [0, 1].
-                decision = step(state, schedule, float(line))
-            except ValueError:
-                print(f"# error line {count}", file=stderr)
-                return EXIT_STREAM
-            verdict = "REJECT" if decision.rejected else "ACCEPT"
-            stdout.write(f"{decision.index} {decision.alpha!r} {decision.p!r} {verdict}\n")
+        for lines in blocks:
+            out = []
+            for line in lines:
+                count += 1
+                try:
+                    # parse() rejects unreadable text, the step a P-value outside [0, 1].
+                    decision = step(state, schedule, parse(line))
+                except ValueError:
+                    stdout.write("".join(out))
+                    stdout.flush()
+                    print(f"# error line {count}", file=stderr)
+                    return EXIT_STREAM
+                verdict = "REJECT" if decision.rejected else "ACCEPT"
+                out.append(f"{decision.index} {decision.alpha!r} {decision.p!r} {verdict}\n")
+                if decision.rejected:
+                    discoveries += 1
+            stdout.write("".join(out))
             stdout.flush()
-            if decision.rejected:
-                discoveries += 1
         stdout.write(f"# discoveries={discoveries} n={count}\n")
         stdout.flush()
     except BrokenPipeError as exc:
@@ -245,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=None, help="override the replicate count")
 
     p_stream = sub.add_parser("stream", help="decide P-values read from stdin, one per line")
-    p_stream.add_argument("--procedure", choices=tuple(_STREAM_RULES), required=True)
+    p_stream.add_argument("--procedure", choices=_STREAM_RULES, required=True)
     _add_schedule_flags(p_stream)
 
     p_sched = sub.add_parser("schedule", help="print the head of a budget schedule")

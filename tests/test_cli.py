@@ -5,11 +5,13 @@ import math
 import subprocess
 import sys
 import threading
+import types
 
+import numpy as np
 import pytest
 from scipy import special
 
-from streamfdr import make_power_schedule, run_stream
+from streamfdr import cli, lond_step, make_power_schedule, run_stream
 from streamfdr.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -253,10 +255,19 @@ def test_bad_schedule_flag_is_named(command, flag, value, message, capsys):
 
 
 def run_stream_inproc(lines, procedure="lord", q=0.1, nu=2.0, adaptive=False):
-    stdin = io.StringIO("".join(line + "\n" for line in lines))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    code = cmd_stream(procedure, q, nu, adaptive, stdin=stdin, stdout=stdout, stderr=stderr)
-    return code, stdout.getvalue().splitlines(), stderr.getvalue()
+    """Run ``cmd_stream`` over a text stdin and over one with a binary buffer.
+
+    The first is read as text, the second through ``read1`` on its buffer;
+    both must give the same exit code, stdout and stderr, which are returned.
+    """
+    text = "".join(line + "\n" for line in lines)
+    results = []
+    for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = cmd_stream(procedure, q, nu, adaptive, stdin=stdin, stdout=stdout, stderr=stderr)
+        results.append((code, stdout.getvalue().splitlines(), stderr.getvalue()))
+    assert results[0] == results[1]
+    return results[0]
 
 
 class TestStreamCommand:
@@ -316,13 +327,97 @@ class TestStreamCommand:
             assert out[-1] == f"# discoveries={n_rej} n={len(pvals)}"
 
 
+def arrivals(chunks, errors="strict"):
+    """A stdin whose binary buffer hands out ``chunks``, one per ``read1``, as a pipe would.
+
+    An empty chunk would read as end of input, so it is dropped.
+    """
+    pending = [chunk for chunk in chunks if chunk]
+    buffer = types.SimpleNamespace(read1=lambda size: pending.pop(0) if pending else b"")
+    return types.SimpleNamespace(buffer=buffer, encoding="utf-8", errors=errors)
+
+
+class Recorder(io.StringIO):
+    """A stdout that keeps the text of each write and counts flushes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+        self.flushes = 0
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
+
+
+def stream_chunks(chunks, errors="strict"):
+    """Exit code, recorded stdout and stderr of ``cmd_stream`` over ``arrivals(chunks, errors)``."""
+    stdout, stderr = Recorder(), io.StringIO()
+    code = cmd_stream("lond", 0.1, 2.0, False, stdin=arrivals(chunks, errors), stdout=stdout, stderr=stderr)
+    return code, stdout, stderr.getvalue()
+
+
+def stream_text(text):
+    """The stdout of ``cmd_stream`` over ``text`` in a ``StringIO``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cmd_stream("lond", 0.1, 2.0, False, stdin=io.StringIO(text), stdout=stdout, stderr=stderr)
+    return stdout.getvalue()
+
+
+class TestStreamBlocks:
+    def test_each_block_is_one_write_and_one_flush(self):
+        code, stdout, _ = stream_chunks([b"0.04\n0.9\n", b"0.3\n0.0", b"01\n0.5\n"])
+        assert code == EXIT_OK
+        # The middle block ends mid-line: its complete line is written with it,
+        # the rest waits for the next block.
+        assert [text.count("\n") for text in stdout.writes] == [2, 1, 2, 1]
+        assert stdout.flushes == len(stdout.writes)
+        assert stdout.getvalue() == stream_text("0.04\n0.9\n0.3\n0.001\n0.5\n")
+
+    def test_any_split_of_the_input_gives_the_same_output(self):
+        text = "0.04\n\u0660.\u0660\u0660\u0661\n0.9\n 0.2 \r\n0.01"
+        data = text.encode()
+        expected = stream_text(text)
+        assert expected.splitlines()[1].split()[2] == "0.001"
+        splits = [[data[:k], data[k:]] for k in range(len(data) + 1)]
+        splits.append([data[k:k + 1] for k in range(len(data))])
+        for chunks in splits:
+            code, stdout, _ = stream_chunks(chunks)
+            assert (code, stdout.getvalue()) == (EXIT_OK, expected), chunks
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_bad_line_in_a_block_writes_the_decisions_before_it(self, errors):
+        for bad in (b"\xff\xfe", b"1.5", b"0.5 0.5"):
+            code, stdout, err = stream_chunks([b"0.5\n0.2\n" + bad + b"\n0.1\n"], errors)
+            assert code == EXIT_STREAM and err == "# error line 3\n"
+            assert stdout.writes == [stream_text("0.5\n0.2\n").rsplit("#", 1)[0]]
+            assert stdout.flushes == 1
+
+    def test_patched_step_runs_once_per_line(self, monkeypatch):
+        # A tracer patches the step where the command looks it up.
+        calls = []
+
+        def counted(state, schedule, p):
+            calls.append(p)
+            return lond_step(state, schedule, p)
+
+        monkeypatch.setattr(cli, "lond_step", counted)
+        assert stream_text("0.5\n0.01\n0.3\n").endswith(" n=3\n")
+        assert calls == [0.5, 0.01, 0.3]
+
+
 def read_line(stream, timeout=20.0):
     box = []
     thread = threading.Thread(target=lambda: box.append(stream.readline()), daemon=True)
     thread.start()
     thread.join(timeout)
     if not box:
-        raise AssertionError("no output line within timeout: stream not flushed per line")
+        raise AssertionError("no output line within timeout: a decision was not flushed "
+                             "before the command waited for input")
     return box[0]
 
 
@@ -404,3 +499,76 @@ class TestStreamProtocolCausality:
         )
         assert result.returncode == EXIT_STREAM
         assert "# error line 1" in result.stderr
+
+
+STREAM_LOND = [sys.executable, "-m", "streamfdr.cli", "stream", "--procedure", "lond", "--adaptive"]
+
+
+def stream_cli(data: bytes):
+    """Exit code, stdout and stderr of the stream command fed ``data`` (under 64 KB) in one write."""
+    with subprocess.Popen(STREAM_LOND, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdin.write(data)
+        proc.stdin.close()
+        out, err = proc.stdout.read(), proc.stderr.read()
+        return proc.wait(timeout=60), out, err
+
+
+class TestStreamBlocksViaSubprocess:
+    def test_one_write_gives_the_bytes_of_line_at_a_time(self):
+        rng = np.random.default_rng(5)
+        pvalues = np.where(rng.random(200) < 0.1, rng.random(200) * 1e-3, rng.random(200))
+        lines = [(repr(float(p)) + "\n").encode() for p in pvalues]
+        with subprocess.Popen(STREAM_LOND, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            replies = []
+            for line in lines:
+                proc.stdin.write(line)
+                proc.stdin.flush()
+                replies.append(read_line(proc.stdout))
+            proc.stdin.close()
+            replies.append(proc.stdout.read())
+            assert proc.wait(timeout=60) == EXIT_OK
+        code, out, err = stream_cli(b"".join(lines))
+        assert (code, err) == (EXIT_OK, b"")
+        assert out == b"".join(replies)
+        assert out.count(b"REJECT") > 0 and out.endswith(b" n=200\n")
+
+    def test_half_a_line_waits_and_the_full_line_is_answered(self):
+        with subprocess.Popen(STREAM_LOND, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            try:
+                proc.stdin.write(b"0.04\n0.0")
+                proc.stdin.flush()
+                first = read_line(proc.stdout)
+                proc.stdin.write(b"5\n")
+                proc.stdin.flush()
+                second = read_line(proc.stdout)
+            finally:
+                proc.stdin.close()
+            rest = proc.stdout.read()
+            assert proc.wait(timeout=60) == EXIT_OK
+        index, _, p, verdict = first.split()
+        assert (index, p, verdict) == (b"1", b"0.04", b"REJECT")
+        index, _, p, _ = second.split()
+        assert (index, p) == (b"2", b"0.05")
+        assert rest.endswith(b" n=2\n")
+
+    def test_bad_line_inside_one_block(self):
+        _, good, _ = stream_cli(b"0.04\n0.9\n")
+        code, out, err = stream_cli(b"0.04\n0.9\n1.5\n0.2\n")
+        assert (code, err) == (EXIT_STREAM, b"# error line 3\n")
+        assert out == good.rsplit(b"#", 1)[0] and out.count(b"\n") == 2
+
+    @pytest.mark.parametrize("data, same_as", [
+        (b"0.04\n\xd9\xa0.\xd9\xa0\xd9\xa0\xd9\xa1\n", b"0.04\n0.001\n"),  # Arabic-Indic digits
+        (b"0.04\n0.9", b"0.04\n0.9\n"),  # no newline after the last line
+    ])
+    def test_read_as_its_plain_form(self, data, same_as):
+        assert stream_cli(data) == stream_cli(same_as)
+
+    def test_undecodable_line_exits_4(self):
+        _, good, _ = stream_cli(b"0.5\n")
+        code, out, err = stream_cli(b"0.5\n\xff\xfe\n0.2\n")
+        assert (code, err) == (EXIT_STREAM, b"# error line 2\n")
+        assert out == good.rsplit(b"#", 1)[0]
