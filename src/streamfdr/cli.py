@@ -45,7 +45,9 @@ def parse_config(text: str):
 
     Blank lines and ``#`` comments are ignored. Grid keys ``n_values`` /
     ``r_values`` (comma-separated) replace the scalar ``n`` / ``r``;
-    exactly one of each pair must be present.
+    exactly one of each pair must be present. ``nu`` with ``schedule =
+    adaptive`` and ``q`` with ``q_rule = inverse-log`` are errors, as is a
+    repeated entry of ``procedures``.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -94,6 +96,11 @@ def parse_config(text: str):
         points = [MixtureConfig(n=int(n), r=float(r), **raw) for n in n_values for r in r_values]
     except FieldError as exc:
         raise ConfigError(keys.get(exc.field, exc.field), str(exc)) from None
+    # A key the chosen rule never reads would change nothing, so it is an error.
+    if "nu" in raw and points[0].schedule == "adaptive":
+        raise ConfigError("nu", "nu is unused under schedule = adaptive")
+    if "q" in raw and points[0].q_rule == "inverse-log":
+        raise ConfigError("q", "q is unused under q_rule = inverse-log (q = 1/log n)")
     return points[0], r_values, n_values
 
 
@@ -145,46 +152,38 @@ _STREAM_RULES = ("lord", "lond")
 _BLOCK_BYTES = 1 << 16
 
 
-def _stream_input(stdin):
-    """The blocks of complete lines of ``stdin`` as they arrive, and the parser of one line.
+def _split_lines(read):
+    """Yield the list of complete byte lines in each ``read``.
 
-    A stream with a binary ``buffer``, as ``sys.stdin`` has, is read with
-    one ``read1`` per block: that returns what has arrived, waiting only
-    when nothing has. Its lines are decoded one by one with the stream's
-    ``encoding`` and ``errors``, so a line that does not decode is a bad
-    line like any other. A text stream without one, such as
-    ``io.StringIO``, gives its text. Lines split at ``\\n`` only, as
-    ``sys.stdin`` splits them on Linux.
+    ``read`` is the ``read1`` of stdin's binary ``buffer``, which
+    ``sys.stdin`` has: it returns what has arrived, waiting only when
+    nothing has. Lines split at ``\\n`` only, as ``sys.stdin`` splits them
+    on Linux; an unterminated last line comes alone at the end.
     """
-    buffer = getattr(stdin, "buffer", None)
-    if buffer is None:
-        return _split_lines(stdin.read, "\n"), float
-    encoding, errors = stdin.encoding, stdin.errors
-    return _split_lines(buffer.read1, b"\n"), lambda line: float(line.decode(encoding, errors))
-
-
-def _split_lines(read, newline):
-    """Yield the list of complete lines in each ``read``; an unterminated last line comes alone at the end."""
-    empty = newline[:0]
     head = []  # the pieces of a line still waiting for its newline
     while data := read(_BLOCK_BYTES):
-        lines = data.split(newline)
+        lines = data.split(b"\n")
         tail = lines.pop()
         if lines:
             if head:
                 head.append(lines[0])
-                lines[0] = empty.join(head)
+                lines[0] = b"".join(head)
                 head = []
             yield lines
         if tail:
             head.append(tail)
     if head:
-        yield [empty.join(head)]
+        yield [b"".join(head)]
 
 
 def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
                stdin=None, stdout=None, stderr=None) -> int:
     """Decide one P-value per input line, echoing one decision line each.
+
+    ``stdin`` must have a binary ``buffer``, as ``sys.stdin`` does: it is
+    read with one ``read1`` per block, and each line is decoded with the
+    stream's ``encoding`` and ``errors``, so a line that does not decode
+    is a bad line like any other.
 
     Output format: ``index alpha p REJECT|ACCEPT``. Every decision is
     written and flushed before the command waits for more input; lines
@@ -210,17 +209,17 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     # Looked up per call, not bound at import, so a patched step is the one run.
     state_type, step = {"lord": (LordState, lord_step), "lond": (LondState, lond_step)}[procedure]
     state = state_type()
-    blocks, parse = _stream_input(stdin)
+    encoding, errors = stdin.encoding, stdin.errors
     count = 0
     discoveries = 0
     try:
-        for lines in blocks:
+        for lines in _split_lines(stdin.buffer.read1):
             out = []
             for line in lines:
                 count += 1
                 try:
-                    # parse() rejects unreadable text, the step a P-value outside [0, 1].
-                    decision = step(state, schedule, parse(line))
+                    # decode() and float() reject unreadable text, the step a P-value outside [0, 1].
+                    decision = step(state, schedule, float(line.decode(encoding, errors)))
                 except ValueError:
                     stdout.write("".join(out))
                     stdout.flush()

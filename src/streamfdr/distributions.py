@@ -1,9 +1,9 @@
 """Generalized-Gaussian distribution kernels.
 
 Survival, quantile and sampling routines for the symmetric family with
-density proportional to ``exp(-|x/scale|^gamma / gamma)``, gamma >= 1.
+density proportional to ``exp(-|x|^gamma / gamma)``, gamma >= 1.
 gamma = 2 is the standard normal law, gamma = 1 the double exponential.
-The right tail is ``0.5 * Q(1/gamma, |x/scale|^gamma / gamma)`` with Q
+The right tail is ``0.5 * Q(1/gamma, |x|^gamma / gamma)`` with Q
 the regularized upper incomplete gamma, so the quantile is its closed-form
 inverse through ``gammainccinv``. Also provides the P-value CDFs of
 location-shift alternatives, public diagnostics that the package itself
@@ -45,21 +45,15 @@ def _check_gamma(gamma: float) -> None:
 
 @dataclass(frozen=True)
 class GGKernel:
-    """Shape ``gamma`` (>= 1) and a positive scale multiplier.
+    """The unit-scale law of shape ``gamma`` (>= 1).
 
-    The natural scale is 1; ``scale`` multiplies the variate. P-values are
-    scale invariant, so the knob only matters when quoting statistics in
-    particular units (e.g. a unit-variance double exponential uses
-    ``GGKernel(1.0, scale=1/sqrt(2))``).
+    Its density is proportional to ``exp(-|x|^gamma / gamma)``.
     """
 
     gamma: float
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise FieldError("scale", f"scale must be finite and > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,12 @@ def gg_survival(kernel: GGKernel, x):
 
     The right tail is evaluated directly (erfc for gamma = 2, a closed
     form for gamma = 1, the regularized upper incomplete gamma of
-    ``|x/scale|^gamma / gamma`` otherwise) so extreme P-values keep full
+    ``|x|^gamma / gamma`` otherwise) so extreme P-values keep full
     relative precision instead of underflowing through ``1 - cdf``.
     The left half follows from symmetry: survival(x) + survival(-x) = 1.
     """
     arr = _as_finite_array(x)
-    az = np.abs(arr / kernel.scale)
+    az = np.abs(arr)
     g = kernel.gamma
     if g == 2.0:
         from scipy import special
@@ -134,7 +128,7 @@ def pvalue(kernel: GGKernel, x):
 def gg_quantile(kernel: GGKernel, p):
     """Inverse survival: the x with ``gg_survival(kernel, x) == p``.
 
-    Closed form: for p <= 1/2, ``x = scale * (gamma * y)**(1/gamma)`` with
+    Closed form: for p <= 1/2, ``x = (gamma * y)**(1/gamma)`` with
     ``y = gammainccinv(1/gamma, 2p)``; p > 1/2 reflects to ``-x(1 - p)``.
     Accepts scalars or arrays of probabilities in the open interval (0, 1).
     """
@@ -147,7 +141,7 @@ def gg_quantile(kernel: GGKernel, p):
 
     # 1 - p is exact for p in [0.5, 1], so the reflection is lossless.
     y = special.gammainccinv(1.0 / g, 2.0 * np.minimum(arr, 1.0 - arr))
-    x = kernel.scale * (g * y) ** (1.0 / g)
+    x = (g * y) ** (1.0 / g)
     return _like(np.where(arr > 0.5, -x, x), p)
 
 
@@ -161,14 +155,12 @@ def gg_sample(kernel: GGKernel, rng: np.random.Generator, size=None):
     """
     g = kernel.gamma
     if g == 2.0:
-        draw = rng.standard_normal(size)
-    elif g == 1.0:
-        draw = rng.laplace(0.0, 1.0, size)
-    else:
-        magnitude = (g * rng.standard_gamma(1.0 / g, size)) ** (1.0 / g)
-        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        draw = sign * magnitude
-    return kernel.scale * draw
+        return rng.standard_normal(size)
+    if g == 1.0:
+        return rng.laplace(0.0, 1.0, size)
+    magnitude = (g * rng.standard_gamma(1.0 / g, size)) ** (1.0 / g)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return sign * magnitude
 
 
 def alt_pvalue_cdf(alt: AltPValueCDF, t):

@@ -43,6 +43,8 @@ CSV_COLUMNS = [
 # replicate_id of a pooled record; serialized as the literal "pooled".
 POOLED_ID = -1
 
+_HORIZON_FLOOR = 10  # the least horizon of horizon_grid
+
 
 @dataclass(frozen=True)
 class TruthLabels:
@@ -145,14 +147,15 @@ def fnp(decisions, truth: TruthLabels) -> float:
     return fdp_fnp_from_mask(rejected, signal)[1]
 
 
-def horizon_grid(n: int, floor: int = 10) -> list[int]:
-    """Logarithmic evaluation horizons ceil(n / 2**k), descending to ``floor``.
+def horizon_grid(n: int) -> list[int]:
+    """Logarithmic evaluation horizons ceil(n / 2**k), descending to 10.
 
     ``n`` must be a whole number >= 1; otherwise a ``FieldError`` names it.
+    An ``n`` below 10 is its own single horizon.
     """
     n = _index("n", n, 1)
     grid = {-(-n // 2**k) for k in range(n.bit_length() + 1)}  # ceil(n / 2**k), down to 1
-    return sorted(h for h in grid if h >= floor) or [n]
+    return sorted(h for h in grid if h >= _HORIZON_FLOOR) or [n]
 
 
 def fdp_at_horizons(rejected: np.ndarray, signal: np.ndarray, horizons) -> np.ndarray:

@@ -93,11 +93,13 @@ class MixtureConfig:
             raise FieldError(
                 "procedures", "procedures must be a non-empty subset of " + repr(PROCEDURES)
             )
-        for proc in self.procedures:
+        for k, proc in enumerate(self.procedures):
             if proc not in PROCEDURES:
                 raise FieldError(
                     "procedures", f"procedures: unknown entry {proc!r}; choose from {PROCEDURES}"
                 )
+            if proc in self.procedures[:k]:
+                raise FieldError("procedures", f"procedures: repeated entry {proc!r}")
         if self.schedule not in ("power", "adaptive"):
             raise FieldError(
                 "schedule", f"schedule must be 'power' or 'adaptive', got {self.schedule!r}"
@@ -250,9 +252,8 @@ def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
 
 
 def _row(config: MixtureConfig, procedure: str, record: MetricsRecord) -> dict:
-    pooled = record.reps > 1 or record.replicate_id < 0
     return {
-        "replicate": "pooled" if pooled else record.replicate_id,
+        "replicate": "pooled" if record.replicate_id < 0 else record.replicate_id,
         "n_eval": record.n,
         "procedure": procedure,
         "beta": config.beta,

@@ -116,11 +116,38 @@ class TestParseConfig:
             ("n = 2000", "n_values = 100, 0", "n_values"),
             ("r = 0.8", "r_values = 0.5, -1", "r_values"),
             ("n = 2000\n", "n_values = 2, 100\nq_rule = inverse-log\n", "n_values"),
+            # An entry that changes nothing.
+            ("procedures = lord, bh", "procedures = lord, bh, lord", "procedures"),
+            ("q = 0.1", "q = 0.1\nq_rule = inverse-log", "q"),
+            ("q = 0.1", "q = 5\nq_rule = inverse-log", "q"),
+            ("q = 0.1", "q = 0.1\nschedule = adaptive\nnu = 1.05", "nu"),
+            ("q = 0.1", "q = 0.1\nschedule = adaptive\nnu = 1", "nu"),
         ],
     )
     def test_each_field_names_its_key(self, old, new, key, tmp_path, capsys):
         assert old in GOOD_CONFIG
         self.assert_exit_2_naming(GOOD_CONFIG.replace(old, new), key, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("q = 0.1", "q_rule = inverse-log\nschedule = adaptive\nnu = 2",
+             "config key 'nu': nu is unused under schedule = adaptive"),
+            ("q = 0.1", "q = 0.2\nq_rule = inverse-log",
+             "config key 'q': q is unused under q_rule = inverse-log (q = 1/log n)"),
+        ],
+    )
+    def test_unused_key_messages(self, old, new, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(GOOD_CONFIG.replace(old, new))
+        assert str(err.value) == message
+
+    def test_keys_each_rule_reads_are_accepted(self):
+        text = GOOD_CONFIG.replace("q = 0.1", "q_rule = inverse-log\nschedule = adaptive")
+        base, _, _ = parse_config(text)
+        assert (base.q_rule, base.schedule) == ("inverse-log", "adaptive")
+        base, _, _ = parse_config(GOOD_CONFIG + "schedule = power\nnu = 1.5\n")
+        assert (base.q, base.nu) == (0.1, 1.5)
 
     def test_messages_are_the_config_messages(self):
         text = GOOD_CONFIG.replace("r = 0.8\ngamma = 2", "r = 1e308\ngamma = 1")
@@ -255,19 +282,16 @@ def test_bad_schedule_flag_is_named(command, flag, value, message, capsys):
 
 
 def run_stream_inproc(lines, procedure="lord", q=0.1, nu=2.0, adaptive=False):
-    """Run ``cmd_stream`` over a text stdin and over one with a binary buffer.
+    """Exit code, stdout lines and stderr of ``cmd_stream`` over ``lines``.
 
-    The first is read as text, the second through ``read1`` on its buffer;
-    both must give the same exit code, stdout and stderr, which are returned.
+    The stdin is a text stream over bytes, so it has the binary buffer
+    that ``sys.stdin`` has.
     """
-    text = "".join(line + "\n" for line in lines)
-    results = []
-    for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        code = cmd_stream(procedure, q, nu, adaptive, stdin=stdin, stdout=stdout, stderr=stderr)
-        results.append((code, stdout.getvalue().splitlines(), stderr.getvalue()))
-    assert results[0] == results[1]
-    return results[0]
+    data = "".join(line + "\n" for line in lines).encode()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = cmd_stream(procedure, q, nu, adaptive, stdin=stdin, stdout=stdout, stderr=stderr)
+    return code, stdout.getvalue().splitlines(), stderr.getvalue()
 
 
 class TestStreamCommand:
@@ -362,9 +386,9 @@ def stream_chunks(chunks, errors="strict"):
 
 
 def stream_text(text):
-    """The stdout of ``cmd_stream`` over ``text`` in a ``StringIO``."""
+    """The stdout of ``cmd_stream`` over ``text`` read in one block."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    cmd_stream("lond", 0.1, 2.0, False, stdin=io.StringIO(text), stdout=stdout, stderr=stderr)
+    cmd_stream("lond", 0.1, 2.0, False, stdin=arrivals([text.encode()]), stdout=stdout, stderr=stderr)
     return stdout.getvalue()
 
 

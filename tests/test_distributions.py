@@ -40,10 +40,6 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             GGKernel(0.5)
 
-    def test_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            GGKernel(2.0, scale=0.0)
-
     def test_nan_gamma(self):
         with pytest.raises(ValueError):
             GGKernel(float("nan"))
@@ -72,10 +68,6 @@ class TestSurvival:
                 assert gg_survival(GGKernel(g), x) == pytest.approx(
                     quad_survival(g, x), abs=1e-12
                 )
-
-    def test_scale_rescales_argument(self):
-        k = GGKernel(2.0, scale=3.0)
-        assert gg_survival(k, 3.0) == gg_survival(GGKernel(2.0), 1.0)
 
     def test_symmetry(self):
         for g in GAMMAS:
@@ -251,12 +243,11 @@ class TestQuantile:
         # x**gamma ~ gamma * log(1/p) < 5e3 here, so 1e-10 leaves wide room.
         ps = 10.0 ** -np.arange(300, 0, -1.0)
         for g in GAMMAS + [7.0]:
-            for scale in (0.3, 1.0, 5.0):
-                k = GGKernel(g, scale)
-                assert np.max(np.abs(gg_survival(k, gg_quantile(k, ps)) / ps - 1.0)) <= 1e-10
+            k = GGKernel(g)
+            assert np.max(np.abs(gg_survival(k, gg_quantile(k, ps)) / ps - 1.0)) <= 1e-10
 
     def test_array_matches_scalar_calls(self):
-        k = GGKernel(1.5, 2.0)
+        k = GGKernel(1.5)
         ps = np.array(P_GRID)
         xs = gg_quantile(k, ps)
         assert isinstance(xs, np.ndarray)
@@ -298,6 +289,24 @@ class TestSampling:
     def test_scalar_draw(self):
         val = gg_sample(GGKernel(3.0), np.random.default_rng(1))
         assert np.ndim(val) == 0 and np.isfinite(val)
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_draws_are_the_generators_own(self, size):
+        # The unit-scale law takes the generator's draws bit for bit, with no rescaling.
+        def general(rng, g):
+            magnitude = (g * rng.standard_gamma(1.0 / g, size)) ** (1.0 / g)
+            return np.where(rng.random(size) < 0.5, -1.0, 1.0) * magnitude
+
+        twins = {
+            2.0: lambda rng: rng.standard_normal(size),
+            1.0: lambda rng: rng.laplace(0.0, 1.0, size),
+            3.0: lambda rng: general(rng, 3.0),
+        }
+        for g, draw in twins.items():
+            got = gg_sample(GGKernel(g), np.random.default_rng(5), size)
+            want = draw(np.random.default_rng(5))
+            assert type(got) is type(want), g
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), g
 
 
 class TestPValue:

@@ -15,7 +15,6 @@ from streamfdr import (
     LordState,
     bh_mask,
     bh_reject,
-    gg_sample,
     lond_levels,
     lond_step,
     lord_levels,
@@ -624,30 +623,6 @@ class TestFarIndices:
             assert [d.alpha for d in decisions] == want_alpha, engine
             assert [d.rejected for d in decisions] == want_rejected, engine
             assert not any(want_rejected[:calm]) and want_rejected[calm], engine
-
-
-class TestScaleInvariance:
-    def test_power_of_two_rescaling_is_bit_identical(self):
-        rng = np.random.default_rng(3)
-        x = gg_sample(GGKernel(2.0), rng, 2000)
-        base = pvalue(GGKernel(2.0, scale=1.0), x)
-        for c in (2.0, 0.5, 1024.0, 2.0**-20):
-            scaled = pvalue(GGKernel(2.0, scale=c), c * x)
-            assert np.array_equal(base, scaled)
-
-    def test_general_rescaling_keeps_decisions(self):
-        sched = make_power_schedule(1.05, 0.1)
-        rng = np.random.default_rng(4)
-        x = gg_sample(GGKernel(1.0), rng, 3000) + 2.0 * (rng.random(3000) < 0.01)
-        base = pvalue(GGKernel(1.0), x)
-        for c in (3.0, math.pi):
-            scaled = pvalue(GGKernel(1.0, scale=c), c * x)
-            assert np.allclose(base, scaled, rtol=1e-12)
-            for engine in ("lord", "lond"):
-                a = [d.rejected for d in run_stream(engine, sched, base)]
-                b = [d.rejected for d in run_stream(engine, sched, scaled)]
-                assert a == b
-            assert np.array_equal(bh_mask(base, 0.1), bh_mask(scaled, 0.1))
 
 
 class TestBH:
