@@ -14,14 +14,18 @@ stored.
 
 Replicates are seeded by (seed, cell parameters, replicate), so cells
 are independent of one another and of execution order, and any subset
-of a grid can be recomputed on its own with identical results.
+of a grid can be recomputed on its own with identical results. So
+``run_grid`` runs the (cell, replicate) units on a pool of threads and
+puts the records back in the fixed order (see ``_run``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,22 +183,116 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
 
 
 def _hits(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
-          lam: np.ndarray | None) -> np.ndarray:
-    """Rejected positions of ``procedure`` among n, decided on the kept P-values ``val``."""
+          lam: np.ndarray | None, top: float | None) -> np.ndarray:
+    """Rejected positions of ``procedure`` among n, decided on the kept P-values ``val``.
+
+    ``top`` is ``lam.max(initial=0.0)``, taken once per lambda array; only lord reads it.
+    """
     if procedure == "bh":
         return keep[val <= _bh_cutoff(val, q, n)]
-    return _rejected(_RULES[procedure], lam, val, keep)
+    return _rejected(_RULES[procedure], lam, val, keep, top if procedure == "lord" else None)
 
 
-def _cell_records(config: MixtureConfig, procedures,
-                  lam: np.ndarray | None = None) -> list[list[MetricsRecord]]:
+class _Cell(NamedTuple):
+    """What every replicate of one cell reads: built once, then only read, so threads share it."""
+
+    config: MixtureConfig
+    procedures: tuple
+    lam: np.ndarray | None  # lambda_1 .. lambda_n, read-only; None when only bh decides
+    top: float | None  # lam.max(initial=0.0): no lord level exceeds it
+    cut: float  # P-values are computed where the statistic reaches it
+
+
+def _cell(config: MixtureConfig, procedures, lam: np.ndarray | None = None,
+          top: float | None = None) -> _Cell:
+    """The cell's shared inputs; lambda_1 .. lambda_n and ``top`` are built unless given.
+
+    They are built only when a streaming rule decides, so the cells of
+    one n can pass on the arrays that the first of them built.
+    """
+    if lam is None and any(proc != "bh" for proc in procedures):
+        lam = config.make_schedule().prefix(config.n)
+        top = lam.max(initial=0.0)
+    budget = 2.0 * config.effective_q()
+    # gamma = 1 takes no cut: its survival is one exp, and the quantile would load scipy.
+    cut = -np.inf if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(config.kernel, budget)
+    return _Cell(config, tuple(procedures), lam, top, cut)
+
+
+def _replicate(cell: _Cell, rep: int) -> list[MetricsRecord]:
+    """Replicate ``rep`` of a cell: one record per procedure, in the cell's order.
+
+    This is the unit a worker runs: generate, keep, P-values, then each
+    procedure's rejected positions and counts. It reads the cell and
+    writes only the arrays it makes, so units run on any thread in any
+    order give the same records.
+    """
+    config = cell.config
+    n, q = config.n, config.effective_q()
+    dataset = make_mixture(config, rep)
+    stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
+    keep = np.flatnonzero(stats >= cell.cut)
+    val = _check_p_array(pvalue(config.kernel, stats[keep]))
+    signal = dataset.truth.signal_mask()  # one mask serves every procedure's count
+    n_signals = dataset.truth.false_null_indices.size
+    records = []
+    for proc in cell.procedures:
+        hits = _hits(proc, n, keep, val, q, cell.lam, cell.top)
+        f, g = _fdp_fnp(hits.size, int(np.count_nonzero(signal[hits])), n_signals)
+        records.append(MetricsRecord(n=n, fdp=f, fnp=g, rejections=hits.size, replicate_id=rep))
+    return records
+
+
+def _workers(jobs, units: int) -> int:
+    """Threads for ``units`` units: ``jobs``, or the CPUs this process may use, at most ``units``.
+
+    ``jobs`` is ``None`` or a whole number >= 1; any other value raises a
+    ``FieldError`` naming ``jobs``.
+    """
+    if jobs is not None:
+        return min(_index("jobs", jobs, 1), units)
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return min(usable, units)
+
+
+def _run(cells: list[_Cell], jobs) -> list[list[list[MetricsRecord]]]:
+    """For each cell, one record list per procedure: every (cell, replicate) unit run once.
+
+    The units run on a pool of ``_workers(jobs, units)`` threads, or in
+    this thread, in order, with no pool when that is 1. Threads share
+    only the read-only lambda arrays and the frozen configs; generation,
+    P-values and the sort release the GIL, so they overlap. Each unit is
+    seeded by (seed, cell, replicate) alone, so the records, and the
+    order they are put back in, are the same for every ``jobs``. An
+    exception raised in a unit reaches the caller unchanged.
+    """
+    units = [(cell, rep) for cell in cells for rep in range(cell.config.reps)]
+    workers = _workers(jobs, len(units))
+    if workers == 1:
+        done = [_replicate(cell, rep) for cell, rep in units]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
+
+        with ThreadPoolExecutor(workers) as executor:
+            done = list(executor.map(_replicate, *zip(*units)))
+    out, start = [], 0
+    for cell in cells:  # replicate-major back to procedure-major
+        stop = start + cell.config.reps
+        out.append([list(column) for column in zip(*done[start:stop])])
+        start = stop
+    return out
+
+
+def _cell_records(config: MixtureConfig, procedures, jobs=None) -> list[list[MetricsRecord]]:
     """One record list per entry of ``procedures``, in order, for one cell.
 
     Each replicate's dataset and P-values are built once and every
-    procedure decides on them. ``lam``, when given, must be
-    ``config.make_schedule().prefix(config.n)``, so the cells of one n
-    share one lambda array; otherwise the cell builds it if a streaming
-    rule needs it.
+    procedure decides on them (``_replicate``). The replicates run on
+    ``jobs`` threads as in ``run_grid``, with the same records for every
+    ``jobs``.
 
     Only P-values at or below the budget q can be rejected: a step-up
     threshold q j / n is at most q, a lord level is one schedule value and
@@ -216,27 +314,7 @@ def _cell_records(config: MixtureConfig, procedures,
     the full vector with 1.0 there gives. FDP and FNP come from the count
     of rejected positions and of those that are signals.
     """
-    if lam is None and any(proc != "bh" for proc in procedures):
-        lam = config.make_schedule().prefix(config.n)
-    kernel = config.kernel
-    q = config.effective_q()
-    budget = 2.0 * q
-    # gamma = 1 takes no cut: its survival is one exp, and the quantile would load scipy.
-    cut = -np.inf if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(kernel, budget)
-    records = [[] for _ in procedures]
-    for rep in range(config.reps):
-        dataset = make_mixture(config, rep)
-        stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
-        keep = np.flatnonzero(stats >= cut)
-        val = _check_p_array(pvalue(kernel, stats[keep]))
-        signals = dataset.truth.false_null_indices - 1
-        for proc, out in zip(procedures, records):
-            hits = _hits(proc, config.n, keep, val, q, lam)
-            n_true = int(np.count_nonzero(np.isin(hits, signals, assume_unique=True)))
-            f, g = _fdp_fnp(hits.size, n_true, signals.size)
-            out.append(MetricsRecord(n=config.n, fdp=f, fnp=g, rejections=hits.size,
-                                     replicate_id=rep))
-    return records
+    return _run([_cell(config, procedures)], jobs)[0]
 
 
 def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
@@ -245,6 +323,7 @@ def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
     The streaming rules consume P-values in index order 1..n; the static
     baseline sees the whole vector at once. Each replicate is generated
     once here; ``run_grid`` generates it once for all procedures of a cell.
+    The replicates run on threads as in ``run_grid`` with its default ``jobs``.
     """
     if procedure not in PROCEDURES:
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
@@ -266,7 +345,7 @@ def _row(config: MixtureConfig, procedure: str, record: MetricsRecord) -> dict:
     }
 
 
-def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
+def run_grid(base: MixtureConfig, r_values, n_values, jobs=None) -> list[dict]:
     """Cross product of (n, r) cells; per-replicate rows plus pooled rows.
 
     Cells are enumerated in deterministic order (n outer, r inner,
@@ -274,23 +353,32 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     subset reproduces the same rows. Each replicate is generated once per
     cell and decided by every procedure, so the rows equal those of
     ``run_cell`` per procedure plus ``pool``. The cells of one n share
-    one lambda array.
+    one lambda array and its largest value, the lord bound.
+
+    Every (cell, replicate) unit of the grid runs on one pool of ``jobs``
+    threads (``None``: the CPUs this process may use, from
+    ``os.sched_getaffinity``; at most one per unit). With one, the units
+    run in order in this thread and no pool is made. The threads share
+    only the read-only lambda arrays and the frozen configs, and the rows
+    are put back in the fixed order, so rows and CSV bytes are the same
+    for every ``jobs``. ``jobs`` other than ``None`` or a whole number
+    >= 1 raises a ``FieldError`` naming ``jobs``.
     """
     r_values = list(r_values)
     n_values = list(n_values)
     if not r_values or not n_values:
         raise ValueError("r_values and n_values must be non-empty")
-    rows = []
+    cells = []
     for n in n_values:
-        lam = None  # one build per n: the budget, hence lambda, may vary with n
+        lam = top = None  # one build per n: the budget, hence lambda, may vary with n
         for r in r_values:
-            cell = replace(base, n=n, r=float(r))
-            if lam is None and any(proc != "bh" for proc in cell.procedures):
-                lam = cell.make_schedule().prefix(n)
-            cell_records = _cell_records(cell, cell.procedures, lam)
-            for procedure, records in zip(cell.procedures, cell_records):
-                rows.extend(_row(cell, procedure, rec) for rec in records)
-                rows.append(_row(cell, procedure, pool(records)))
+            cells.append(_cell(replace(base, n=n, r=float(r)), base.procedures, lam, top))
+            lam, top = cells[-1].lam, cells[-1].top
+    rows = []
+    for cell, cell_records in zip(cells, _run(cells, jobs)):
+        for procedure, records in zip(cell.procedures, cell_records):
+            rows.extend(_row(cell.config, procedure, rec) for rec in records)
+            rows.append(_row(cell.config, procedure, pool(records)))
     return rows
 
 

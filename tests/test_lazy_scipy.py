@@ -61,6 +61,13 @@ def test_scipy_loaded_only_where_needed(code, stdin, loaded):
     assert result.stdout.splitlines()[-1] == str(loaded)
 
 
+def test_cli_import_loads_no_thread_pool():
+    # simulate imports concurrent.futures, which loads logging, only to run a pool.
+    result = run_python("import streamfdr.cli\nprint('concurrent.futures' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("procedure", ["lord", "lond"])
 def test_adaptive_stream_runs_with_scipy_blocked(procedure):
     # A None entry in sys.modules makes every scipy import raise ImportError.

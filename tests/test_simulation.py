@@ -1,7 +1,10 @@
 """Mixture generation and experiment grid tests."""
 
+import concurrent.futures
 import math
+import os
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -387,13 +390,16 @@ class TestOneGenerationPerReplicate:
         "procedures", [("bh",), ("lord", "lond", "bh"), ("lord", "bh", "lond")]
     )
     def test_one_generation_per_replicate(self, procedures, monkeypatch):
+        # The units run on the pool of worker threads, so the counts are kept under a lock.
         calls = {"make_mixture": 0, "pvalue": 0}
+        lock = threading.Lock()
 
         def counted(name):
             original = getattr(simulation, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return original(*args, **kwargs)
 
             return wrapper
@@ -401,7 +407,7 @@ class TestOneGenerationPerReplicate:
         for name in calls:
             monkeypatch.setattr(simulation, name, counted(name))
         cfg = small_config(n=500, reps=3, procedures=procedures)
-        run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500])
+        run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500], jobs=2)
         assert calls == {"make_mixture": 2 * 2 * 3, "pvalue": 2 * 2 * 3}
 
     @pytest.mark.parametrize(
@@ -428,6 +434,100 @@ class TestOneGenerationPerReplicate:
         assert built == builds
         monkeypatch.undo()
         assert rows == self.per_procedure_rows(cfg, [0.5, 0.9], [400, 500])
+
+
+class TestJobs:
+    """The (cell, replicate) units of a grid run on a thread pool with the rows of one thread."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gamma": 1.0},
+            {"gamma": 1.5},
+            {"gamma": 2.0},
+            {"q_rule": "inverse-log", "schedule": "adaptive"},
+            {"procedures": ("bh",)},
+        ],
+        ids=["gamma-1", "gamma-1.5", "gamma-2", "adaptive-inverse-log", "bh-only"],
+    )
+    def test_rows_and_csv_bytes_equal_for_every_jobs(self, overrides, tmp_path):
+        base = small_config(beta=0.4, reps=3, **overrides)
+        grids = [run_grid(base, [0.5, 1.1], [1000, 3000], jobs=jobs) for jobs in (1, 2, 3)]
+        assert len(grids[0]) == 2 * 2 * len(base.procedures) * (3 + 1)
+        assert grids[0] == grids[1] == grids[2]
+        data = []
+        for k, rows in enumerate(grids):
+            write_csv(rows, tmp_path / f"{k}.csv")
+            data.append((tmp_path / f"{k}.csv").read_bytes())
+        assert data[0] == data[1] == data[2]
+
+    def test_cell_records_equal_for_every_jobs(self):
+        config = small_config(beta=0.3, reps=5)
+        want = simulation._cell_records(config, simulation.PROCEDURES, jobs=1)
+        for jobs in (2, 3):
+            assert simulation._cell_records(config, simulation.PROCEDURES, jobs=jobs) == want
+        assert run_cell(config, "lond") == want[1]
+
+    @staticmethod
+    def refuse_pool(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+
+    def test_one_job_runs_in_this_thread(self, monkeypatch):
+        self.refuse_pool(monkeypatch)
+        with pytest.raises(AssertionError, match="a pool was made"):  # the probe sees a pool
+            run_grid(small_config(reps=3), [0.5], [1000], jobs=2)
+        threads = threading.active_count()
+        rows = run_grid(small_config(reps=3), [0.5, 1.1], [1000], jobs=1)
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        assert rows == run_grid(small_config(reps=3), [0.5, 1.1], [1000], jobs=2)
+
+    def test_one_usable_cpu_runs_in_this_thread(self, monkeypatch):
+        self.refuse_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert simulation._workers(None, 10) == 1
+        run_grid(small_config(reps=3), [0.5], [1000])
+        run_cell(small_config(reps=3), "bh")
+
+    def test_worker_count(self, monkeypatch):
+        # Read, not started: no pool is made here.
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert simulation._workers(None, 10**6) == usable
+        assert simulation._workers(None, 1) == 1
+        assert simulation._workers(3, 2) == 2
+        assert simulation._workers(10**6, 5) == 5
+        assert simulation._workers(2.0, 5) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulation._workers(None, 10) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulation._workers(None, 10) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2"])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(simulation.FieldError, match=r"^jobs must be an integer >= 1") as info:
+            run_grid(small_config(reps=2), [0.5], [1000], jobs=jobs)
+        assert info.value.field == "jobs"
+        with pytest.raises(simulation.FieldError) as info:
+            simulation._cell_records(small_config(reps=2), ("bh",), jobs=jobs)
+        assert info.value.field == "jobs"
+
+    def test_unit_exception_reaches_caller_unchanged(self, monkeypatch):
+        error = ValueError("replicate 2 failed")
+        original = simulation.make_mixture
+
+        def failing(config, rep):
+            if rep == 2:
+                raise error
+            return original(config, rep)
+
+        monkeypatch.setattr(simulation, "make_mixture", failing)
+        with pytest.raises(ValueError) as info:
+            run_grid(small_config(reps=4), [0.5, 1.1], [1000], jobs=2)
+        assert info.value is error
 
 
 def reference_records(config, procedures, masks=None):
@@ -459,7 +559,8 @@ def reference_records(config, procedures, masks=None):
 def cell_records(config, procedures, masks):
     """``_cell_records`` with the rejection mask of each decision it makes appended to ``masks``.
 
-    Each mask is rebuilt from the rejected positions the cell returns.
+    Each mask is rebuilt from the rejected positions the cell returns. The
+    cell runs on one thread, so the masks come in replicate order.
     """
     original = simulation._hits
 
@@ -472,7 +573,7 @@ def cell_records(config, procedures, masks):
 
     simulation._hits = recorded
     try:
-        return simulation._cell_records(config, procedures)
+        return simulation._cell_records(config, procedures, jobs=1)
     finally:
         simulation._hits = original
 
@@ -535,7 +636,7 @@ class TestReadablePValues:
     def test_pvalue_runs_on_positions_at_or_above_the_cut(self, overrides, evaluated, monkeypatch):
         sizes = pvalue_sizes(monkeypatch)
         config = small_config(reps=2, **overrides)
-        records = simulation._cell_records(config, self.PROCEDURES)
+        records = simulation._cell_records(config, self.PROCEDURES, jobs=1)  # sizes in order
         assert len(sizes) == config.reps
         if evaluated == "all":
             assert sizes == [config.n] * config.reps
