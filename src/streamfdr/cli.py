@@ -15,8 +15,7 @@ import os
 import sys
 
 from .engines import LondState, LordState, lond_step, lord_step
-from .schedules import (FieldError, LambdaSchedule, _check_q, _index, make_adaptive_schedule,
-                        make_power_schedule)
+from .schedules import FieldError, LambdaSchedule, _check_q, make_adaptive_schedule, make_power_schedule
 from .simulation import MixtureConfig, run_grid, write_csv
 
 __all__ = ["main", "entry", "cmd_simulate", "cmd_stream", "cmd_schedule", "parse_config"]
@@ -116,14 +115,11 @@ def _make_schedule_from_flags(q: float, nu, adaptive: bool) -> LambdaSchedule:
         raise ValueError(f"--{exc.field}: {exc}") from None
 
 
-def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=None,
-                 jobs=None) -> int:
+def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=None) -> int:
     """Run the grid described by a config file and write the CSV.
 
     ``seed`` and ``reps`` override the config file when given; a bad
-    override is reported under its flag (``error: --seed: ...``), as is a
-    bad ``jobs``, the thread count of ``run_grid`` (``None``: the usable
-    CPUs). The CSV bytes are the same for every ``jobs``.
+    override is reported under its flag (``error: --seed: ...``).
     """
     stderr = stderr or sys.stderr
     try:
@@ -140,12 +136,10 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     overrides = {k: v for k, v in (("seed", seed), ("reps", reps)) if v is not None}
     try:
         base = dataclasses.replace(base, **overrides)
-        if jobs is not None:
-            jobs = _index("jobs", jobs, 1)
     except FieldError as exc:
         print(f"error: --{exc.field}: {exc}", file=stderr)
         return EXIT_CONFIG
-    rows = run_grid(base, r_values, n_values, jobs)
+    rows = run_grid(base, r_values, n_values)
     try:
         write_csv(rows, out_path)
     except OSError as exc:
@@ -295,8 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--reps", type=int, default=None, help="override the replicate count")
-    p_sim.add_argument("--jobs", type=_whole, default=None,
-                       help="worker threads (default: the CPUs this process may use)")
 
     p_stream = sub.add_parser("stream", help="decide P-values read from stdin, one per line")
     p_stream.add_argument("--procedure", choices=_STREAM_RULES, required=True)
@@ -309,14 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _whole(text: str):
-    """``text`` as an int if it reads as one, else as given, for ``_index`` to name the flag."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, default=0.1, help="total FDR budget in (0, 1)")
     group = parser.add_mutually_exclusive_group()
@@ -327,7 +311,7 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "simulate":
-        return cmd_simulate(args.config, args.out, seed=args.seed, reps=args.reps, jobs=args.jobs)
+        return cmd_simulate(args.config, args.out, seed=args.seed, reps=args.reps)
     if args.command == "stream":
         return cmd_stream(args.procedure, args.q, args.nu, args.adaptive)
     return cmd_schedule(args.q, args.nu, args.adaptive, args.head)

@@ -201,23 +201,19 @@ _RULES = {
 }
 
 
-def _rejected(rule, lam: np.ndarray, values: np.ndarray, positions=None,
-              top=None) -> np.ndarray:
+def _rejected(rule, lam: np.ndarray, values: np.ndarray, positions=None) -> np.ndarray:
     """Rejected positions of a stream of ``lam.size`` P-values, from those it may reject.
 
     ``rule`` is a rule's ``(bound, walk, levels)`` functions, as in
     ``_RULES``; ``lam`` holds lambda_1 .. lambda_n. ``positions`` are
     increasing, distinct 0-based positions and ``values`` their P-values;
     every other position must hold a P-value above every level the rule
-    can give it; ``None`` stands for every position. ``top``, when given,
-    is a level no position can exceed and replaces the rule's bound: a
-    caller deciding many streams on one ``lam`` passes lord's
-    ``lam.max(initial=0.0)`` once computed. The walk reads the schedule
-    through a memoryview and the candidates as lists, so each step of it
-    handles Python floats only.
+    can give it; ``None`` stands for every position. The walk reads the
+    schedule through a memoryview and the candidates as lists, so each
+    step of it handles Python floats only.
     """
     bound, walk, _ = rule
-    candidates = np.flatnonzero(bound(values, lam, positions) if top is None else values <= top)
+    candidates = np.flatnonzero(bound(values, lam, positions))
     chosen = candidates if positions is None else positions[candidates]
     hits = walk(memoryview(lam), chosen.tolist(), values[candidates].tolist())
     return np.array(hits, dtype=np.intp)

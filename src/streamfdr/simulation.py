@@ -183,14 +183,11 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
 
 
 def _hits(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
-          lam: np.ndarray | None, top: float | None) -> np.ndarray:
-    """Rejected positions of ``procedure`` among n, decided on the kept P-values ``val``.
-
-    ``top`` is ``lam.max(initial=0.0)``, taken once per lambda array; only lord reads it.
-    """
+          lam: np.ndarray | None) -> np.ndarray:
+    """Rejected positions of ``procedure`` among n, decided on the kept P-values ``val``."""
     if procedure == "bh":
         return keep[val <= _bh_cutoff(val, q, n)]
-    return _rejected(_RULES[procedure], lam, val, keep, top if procedure == "lord" else None)
+    return _rejected(_RULES[procedure], lam, val, keep)
 
 
 class _Cell(NamedTuple):
@@ -199,24 +196,21 @@ class _Cell(NamedTuple):
     config: MixtureConfig
     procedures: tuple
     lam: np.ndarray | None  # lambda_1 .. lambda_n, read-only; None when only bh decides
-    top: float | None  # lam.max(initial=0.0): no lord level exceeds it
     cut: float  # P-values are computed where the statistic reaches it
 
 
-def _cell(config: MixtureConfig, procedures, lam: np.ndarray | None = None,
-          top: float | None = None) -> _Cell:
-    """The cell's shared inputs; lambda_1 .. lambda_n and ``top`` are built unless given.
+def _cell(config: MixtureConfig, procedures, lam: np.ndarray | None = None) -> _Cell:
+    """The cell's shared inputs; lambda_1 .. lambda_n is built unless given.
 
-    They are built only when a streaming rule decides, so the cells of
-    one n can pass on the arrays that the first of them built.
+    It is built only when a streaming rule decides, so the cells of one
+    n can pass on the array that the first of them built.
     """
     if lam is None and any(proc != "bh" for proc in procedures):
         lam = config.make_schedule().prefix(config.n)
-        top = lam.max(initial=0.0)
     budget = 2.0 * config.effective_q()
     # gamma = 1 takes no cut: its survival is one exp, and the quantile would load scipy.
     cut = -np.inf if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(config.kernel, budget)
-    return _Cell(config, tuple(procedures), lam, top, cut)
+    return _Cell(config, tuple(procedures), lam, cut)
 
 
 def _replicate(cell: _Cell, rep: int) -> list[MetricsRecord]:
@@ -237,40 +231,50 @@ def _replicate(cell: _Cell, rep: int) -> list[MetricsRecord]:
     n_signals = dataset.truth.false_null_indices.size
     records = []
     for proc in cell.procedures:
-        hits = _hits(proc, n, keep, val, q, cell.lam, cell.top)
+        hits = _hits(proc, n, keep, val, q, cell.lam)
         f, g = _fdp_fnp(hits.size, int(np.count_nonzero(signal[hits])), n_signals)
         records.append(MetricsRecord(n=n, fdp=f, fnp=g, rejections=hits.size, replicate_id=rep))
     return records
 
 
-def _workers(jobs, units: int) -> int:
-    """Threads for ``units`` units: ``jobs``, or the CPUs this process may use, at most ``units``.
+# Bytes one unit holds at its peak, per statistic of its cell, at most: the
+# statistics, positions and signal labels, kept positions, P-values and their
+# temporaries. A cell that keeps every position of a near-dense mixture
+# (beta 0.01, gamma = 1) peaks at about 123 under tracemalloc.
+_UNIT_BYTES_PER_N = 128
+# The working arrays of a pool's units together stay under this, unless one
+# unit alone needs more: then the units run in this thread, one at a time.
+_POOL_BYTES = 1 << 30
 
-    ``jobs`` is ``None`` or a whole number >= 1; any other value raises a
-    ``FieldError`` naming ``jobs``.
+
+def _workers(units: int, n: int) -> int:
+    """Threads for ``units`` units of at most ``n`` statistics each.
+
+    One per CPU this process may use (``os.sched_getaffinity``, else
+    ``os.cpu_count()``), at most one per unit, and no more than the units
+    whose working arrays fit in ``_POOL_BYTES`` together; at least one.
     """
-    if jobs is not None:
-        return min(_index("jobs", jobs, 1), units)
     try:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         usable = os.cpu_count() or 1
-    return min(usable, units)
+    fit = _POOL_BYTES // (_UNIT_BYTES_PER_N * n)
+    return max(1, min(usable, units, fit))
 
 
-def _run(cells: list[_Cell], jobs) -> list[list[list[MetricsRecord]]]:
+def _run(cells: list[_Cell]) -> list[list[list[MetricsRecord]]]:
     """For each cell, one record list per procedure: every (cell, replicate) unit run once.
 
-    The units run on a pool of ``_workers(jobs, units)`` threads, or in
-    this thread, in order, with no pool when that is 1. Threads share
-    only the read-only lambda arrays and the frozen configs; generation,
-    P-values and the sort release the GIL, so they overlap. Each unit is
-    seeded by (seed, cell, replicate) alone, so the records, and the
-    order they are put back in, are the same for every ``jobs``. An
-    exception raised in a unit reaches the caller unchanged.
+    The units run on a pool of ``_workers`` threads, or in this thread,
+    in order, with no pool when that is 1. Threads share only the
+    read-only lambda arrays and the frozen configs; generation, P-values
+    and the sort release the GIL, so they overlap. Each unit is seeded by
+    (seed, cell, replicate) alone, so the records, and the order they are
+    put back in, are the same for every thread count. An exception raised
+    in a unit reaches the caller unchanged.
     """
     units = [(cell, rep) for cell in cells for rep in range(cell.config.reps)]
-    workers = _workers(jobs, len(units))
+    workers = _workers(len(units), max(cell.config.n for cell in cells))
     if workers == 1:
         done = [_replicate(cell, rep) for cell, rep in units]
     else:
@@ -286,13 +290,13 @@ def _run(cells: list[_Cell], jobs) -> list[list[list[MetricsRecord]]]:
     return out
 
 
-def _cell_records(config: MixtureConfig, procedures, jobs=None) -> list[list[MetricsRecord]]:
+def _cell_records(config: MixtureConfig, procedures) -> list[list[MetricsRecord]]:
     """One record list per entry of ``procedures``, in order, for one cell.
 
     Each replicate's dataset and P-values are built once and every
     procedure decides on them (``_replicate``). The replicates run on
-    ``jobs`` threads as in ``run_grid``, with the same records for every
-    ``jobs``.
+    threads as in ``run_grid``, with the same records for every thread
+    count.
 
     Only P-values at or below the budget q can be rejected: a step-up
     threshold q j / n is at most q, a lord level is one schedule value and
@@ -314,7 +318,7 @@ def _cell_records(config: MixtureConfig, procedures, jobs=None) -> list[list[Met
     the full vector with 1.0 there gives. FDP and FNP come from the count
     of rejected positions and of those that are signals.
     """
-    return _run([_cell(config, procedures)], jobs)[0]
+    return _run([_cell(config, procedures)])[0]
 
 
 def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
@@ -323,7 +327,7 @@ def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
     The streaming rules consume P-values in index order 1..n; the static
     baseline sees the whole vector at once. Each replicate is generated
     once here; ``run_grid`` generates it once for all procedures of a cell.
-    The replicates run on threads as in ``run_grid`` with its default ``jobs``.
+    The replicates run on threads as in ``run_grid``.
     """
     if procedure not in PROCEDURES:
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
@@ -345,7 +349,7 @@ def _row(config: MixtureConfig, procedure: str, record: MetricsRecord) -> dict:
     }
 
 
-def run_grid(base: MixtureConfig, r_values, n_values, jobs=None) -> list[dict]:
+def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     """Cross product of (n, r) cells; per-replicate rows plus pooled rows.
 
     Cells are enumerated in deterministic order (n outer, r inner,
@@ -353,16 +357,16 @@ def run_grid(base: MixtureConfig, r_values, n_values, jobs=None) -> list[dict]:
     subset reproduces the same rows. Each replicate is generated once per
     cell and decided by every procedure, so the rows equal those of
     ``run_cell`` per procedure plus ``pool``. The cells of one n share
-    one lambda array and its largest value, the lord bound.
+    one lambda array.
 
-    Every (cell, replicate) unit of the grid runs on one pool of ``jobs``
-    threads (``None``: the CPUs this process may use, from
-    ``os.sched_getaffinity``; at most one per unit). With one, the units
-    run in order in this thread and no pool is made. The threads share
-    only the read-only lambda arrays and the frozen configs, and the rows
-    are put back in the fixed order, so rows and CSV bytes are the same
-    for every ``jobs``. ``jobs`` other than ``None`` or a whole number
-    >= 1 raises a ``FieldError`` naming ``jobs``.
+    Every (cell, replicate) unit of the grid runs on one pool of threads:
+    one per CPU this process may use (``os.sched_getaffinity``), at most
+    one per unit, and no more than fit in about 1 GiB of working arrays at
+    the grid's largest n (``_workers``). With one, the units run in order
+    in this thread and no pool is made. The threads share only the
+    read-only lambda arrays and the frozen configs, and the rows are put
+    back in the fixed order, so rows and CSV bytes are the same for every
+    thread count.
     """
     r_values = list(r_values)
     n_values = list(n_values)
@@ -370,12 +374,12 @@ def run_grid(base: MixtureConfig, r_values, n_values, jobs=None) -> list[dict]:
         raise ValueError("r_values and n_values must be non-empty")
     cells = []
     for n in n_values:
-        lam = top = None  # one build per n: the budget, hence lambda, may vary with n
+        lam = None  # one build per n: the budget, hence lambda, may vary with n
         for r in r_values:
-            cells.append(_cell(replace(base, n=n, r=float(r)), base.procedures, lam, top))
-            lam, top = cells[-1].lam, cells[-1].top
+            cells.append(_cell(replace(base, n=n, r=float(r)), base.procedures, lam))
+            lam = cells[-1].lam
     rows = []
-    for cell, cell_records in zip(cells, _run(cells, jobs)):
+    for cell, cell_records in zip(cells, _run(cells)):
         for procedure, records in zip(cell.procedures, cell_records):
             rows.extend(_row(cell.config, procedure, rec) for rec in records)
             rows.append(_row(cell.config, procedure, pool(records)))

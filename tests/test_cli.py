@@ -231,30 +231,6 @@ class TestSimulateCommand:
         assert code == EXIT_CONFIG
         assert "error: --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
-    def test_jobs_flag_keeps_csv_bytes(self, tmp_path):
-        config = tmp_path / "exp.cfg"
-        config.write_text(GOOD_CONFIG.replace("n = 2000", "n_values = 1000, 2000"))
-        outs = [tmp_path / f"jobs-{jobs}.csv" for jobs in (1, 2, 3)]
-        for jobs, out in zip((1, 2, 3), outs):
-            assert main(["simulate", str(config), "--out", str(out), "--jobs", str(jobs)]) == EXIT_OK
-        default = tmp_path / "default.csv"
-        assert main(["simulate", str(config), "--out", str(default)]) == EXIT_OK
-        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes() \
-            == default.read_bytes()
-
-    @pytest.mark.parametrize(
-        "value, shown", [("0", "0"), ("-1", "-1"), ("x", "'x'"), ("2.5", "'2.5'")]
-    )
-    def test_bad_jobs_exits_2(self, tmp_path, capsys, value, shown):
-        config = tmp_path / "exp.cfg"
-        config.write_text(GOOD_CONFIG)
-        out = tmp_path / "o.csv"
-        assert main(["simulate", str(config), "--out", str(out), "--jobs", value]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: --jobs: jobs must be an integer >= 1, got {shown}\n"
-        assert not out.exists()
-        assert cmd_simulate(str(config), str(out), jobs=0) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: --jobs: ")
-
 
 class TestScheduleCommand:
     def run(self, q=0.1, nu=None, adaptive=False, head=10):

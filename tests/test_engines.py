@@ -449,8 +449,7 @@ BELOW_ONE = tuple(name for name in sorted(SCHEDULES) if name != "constant")
 def assert_subset_decides_as_full(p, forced, sched, q):
     """Each procedure on the positions not forced to 1.0 rejects what it rejects on the full vector.
 
-    The subset is decided as a simulation cell decides it, with the full n
-    and lord's bound taken once from the lambda array.
+    The subset is decided as a simulation cell decides it, with the full n.
     """
     forced = np.asarray(forced, dtype=bool)
     p = np.where(forced, 1.0, np.asarray(p, dtype=np.float64))
@@ -458,7 +457,7 @@ def assert_subset_decides_as_full(p, forced, sched, q):
     lam = sched.slice(1, p.size + 1)
     full = {"lord": lord_levels(p, sched)[1], "lond": lond_levels(p, sched)[1], "bh": bh_mask(p, q)}
     for proc, rejected in full.items():
-        hits = simulation._hits(proc, p.size, keep, p[keep], q, lam, lam.max(initial=0.0))
+        hits = simulation._hits(proc, p.size, keep, p[keep], q, lam)
         np.testing.assert_array_equal(hits, np.flatnonzero(rejected), err_msg=proc)
 
 

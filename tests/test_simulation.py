@@ -5,6 +5,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,11 @@ from streamfdr import (
     run_grid,
     write_csv,
 )
+
+
+def usable_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` CPUs, so a grid runs on that many threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def small_config(**overrides):
@@ -390,7 +396,7 @@ class TestOneGenerationPerReplicate:
         "procedures", [("bh",), ("lord", "lond", "bh"), ("lord", "bh", "lond")]
     )
     def test_one_generation_per_replicate(self, procedures, monkeypatch):
-        # The units run on the pool of worker threads, so the counts are kept under a lock.
+        # The units run on a pool of two threads, so the counts are kept under a lock.
         calls = {"make_mixture": 0, "pvalue": 0}
         lock = threading.Lock()
 
@@ -406,8 +412,9 @@ class TestOneGenerationPerReplicate:
 
         for name in calls:
             monkeypatch.setattr(simulation, name, counted(name))
+        usable_cpus(monkeypatch, 2)
         cfg = small_config(n=500, reps=3, procedures=procedures)
-        run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500], jobs=2)
+        run_grid(cfg, r_values=[0.5, 0.9], n_values=[400, 500])
         assert calls == {"make_mixture": 2 * 2 * 3, "pvalue": 2 * 2 * 3}
 
     @pytest.mark.parametrize(
@@ -436,7 +443,7 @@ class TestOneGenerationPerReplicate:
         assert rows == self.per_procedure_rows(cfg, [0.5, 0.9], [400, 500])
 
 
-class TestJobs:
+class TestThreads:
     """The (cell, replicate) units of a grid run on a thread pool with the rows of one thread."""
 
     @pytest.mark.parametrize(
@@ -450,9 +457,13 @@ class TestJobs:
         ],
         ids=["gamma-1", "gamma-1.5", "gamma-2", "adaptive-inverse-log", "bh-only"],
     )
-    def test_rows_and_csv_bytes_equal_for_every_jobs(self, overrides, tmp_path):
+    def test_rows_and_csv_bytes_equal_for_every_thread_count(self, overrides, tmp_path,
+                                                             monkeypatch):
         base = small_config(beta=0.4, reps=3, **overrides)
-        grids = [run_grid(base, [0.5, 1.1], [1000, 3000], jobs=jobs) for jobs in (1, 2, 3)]
+        grids = []
+        for cpus in (1, 2, 3):
+            usable_cpus(monkeypatch, cpus)
+            grids.append(run_grid(base, [0.5, 1.1], [1000, 3000]))
         assert len(grids[0]) == 2 * 2 * len(base.procedures) * (3 + 1)
         assert grids[0] == grids[1] == grids[2]
         data = []
@@ -461,59 +472,66 @@ class TestJobs:
             data.append((tmp_path / f"{k}.csv").read_bytes())
         assert data[0] == data[1] == data[2]
 
-    def test_cell_records_equal_for_every_jobs(self):
+    def test_cell_records_equal_for_every_thread_count(self, monkeypatch):
         config = small_config(beta=0.3, reps=5)
-        want = simulation._cell_records(config, simulation.PROCEDURES, jobs=1)
-        for jobs in (2, 3):
-            assert simulation._cell_records(config, simulation.PROCEDURES, jobs=jobs) == want
+        usable_cpus(monkeypatch, 1)
+        want = simulation._cell_records(config, simulation.PROCEDURES)
+        for cpus in (2, 3):
+            usable_cpus(monkeypatch, cpus)
+            assert simulation._cell_records(config, simulation.PROCEDURES) == want
         assert run_cell(config, "lond") == want[1]
 
-    @staticmethod
-    def refuse_pool(monkeypatch):
+    def test_one_usable_cpu_runs_in_this_thread(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("a pool was made")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
-
-    def test_one_job_runs_in_this_thread(self, monkeypatch):
-        self.refuse_pool(monkeypatch)
+        usable_cpus(monkeypatch, 2)
         with pytest.raises(AssertionError, match="a pool was made"):  # the probe sees a pool
-            run_grid(small_config(reps=3), [0.5], [1000], jobs=2)
+            run_grid(small_config(reps=3), [0.5], [1000])
+        usable_cpus(monkeypatch, 1)
         threads = threading.active_count()
-        rows = run_grid(small_config(reps=3), [0.5, 1.1], [1000], jobs=1)
-        assert threading.active_count() == threads
-        monkeypatch.undo()
-        assert rows == run_grid(small_config(reps=3), [0.5, 1.1], [1000], jobs=2)
-
-    def test_one_usable_cpu_runs_in_this_thread(self, monkeypatch):
-        self.refuse_pool(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert simulation._workers(None, 10) == 1
-        run_grid(small_config(reps=3), [0.5], [1000])
+        run_grid(small_config(reps=3), [0.5, 1.1], [1000])
         run_cell(small_config(reps=3), "bh")
+        assert threading.active_count() == threads
 
     def test_worker_count(self, monkeypatch):
         # Read, not started: no pool is made here.
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert simulation._workers(None, 10**6) == usable
-        assert simulation._workers(None, 1) == 1
-        assert simulation._workers(3, 2) == 2
-        assert simulation._workers(10**6, 5) == 5
-        assert simulation._workers(2.0, 5) == 2
+        usable_cpus(monkeypatch, 64)
+        assert simulation._workers(10**6, 1000) == 64
+        assert simulation._workers(5, 1000) == 5
+        assert simulation._workers(1, 1000) == 1
+        # At most the units whose working arrays fit in the pool's budget, and at least one.
+        per_unit = simulation._UNIT_BYTES_PER_N * 10**6
+        assert simulation._workers(100, 10**6) == simulation._POOL_BYTES // per_unit == 8
+        assert simulation._workers(100, 10**7) == 1
+        assert simulation._workers(100, 10**9) == 1
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert simulation._workers(None, 10) == 3
+        assert simulation._workers(10, 1000) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert simulation._workers(None, 10) == 1
+        assert simulation._workers(10, 1000) == 1
 
-    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2"])
-    def test_bad_jobs_rejected(self, jobs):
-        with pytest.raises(simulation.FieldError, match=r"^jobs must be an integer >= 1") as info:
-            run_grid(small_config(reps=2), [0.5], [1000], jobs=jobs)
-        assert info.value.field == "jobs"
-        with pytest.raises(simulation.FieldError) as info:
-            simulation._cell_records(small_config(reps=2), ("bh",), jobs=jobs)
-        assert info.value.field == "jobs"
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"beta": 0.01, "gamma": 1.0},  # near-dense, every position kept
+            {"beta": 0.01, "gamma": 2.0, "q": 0.6},  # 2q >= 1: every position kept
+            {"beta": 0.2, "gamma": 1.5},
+            {"beta": 0.6, "gamma": 2.0},
+        ],
+    )
+    def test_unit_memory_within_its_bound(self, overrides):
+        # The pool's thread cap counts _UNIT_BYTES_PER_N bytes per statistic for each running unit.
+        n = 200_000
+        cell = simulation._cell(small_config(n=n, reps=1, **overrides), simulation.PROCEDURES)
+        tracemalloc.start()
+        try:
+            simulation._replicate(cell, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulation._UNIT_BYTES_PER_N * n
 
     def test_unit_exception_reaches_caller_unchanged(self, monkeypatch):
         error = ValueError("replicate 2 failed")
@@ -525,8 +543,9 @@ class TestJobs:
             return original(config, rep)
 
         monkeypatch.setattr(simulation, "make_mixture", failing)
+        usable_cpus(monkeypatch, 2)
         with pytest.raises(ValueError) as info:
-            run_grid(small_config(reps=4), [0.5, 1.1], [1000], jobs=2)
+            run_grid(small_config(reps=4), [0.5, 1.1], [1000])
         assert info.value is error
 
 
@@ -571,15 +590,18 @@ def cell_records(config, procedures, masks):
         masks.append(mask)
         return hits
 
-    simulation._hits = recorded
-    try:
-        return simulation._cell_records(config, procedures, jobs=1)
-    finally:
-        simulation._hits = original
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_hits", recorded)
+        usable_cpus(patch, 1)
+        return simulation._cell_records(config, procedures)
 
 
 def pvalue_sizes(monkeypatch):
-    """The input size of each ``simulation.pvalue`` call, recorded from now on."""
+    """The input size of each ``simulation.pvalue`` call, recorded from now on.
+
+    Units then run on one thread, so the sizes come in replicate order.
+    """
+    usable_cpus(monkeypatch, 1)
     sizes = []
     original = simulation.pvalue
 
@@ -636,7 +658,7 @@ class TestReadablePValues:
     def test_pvalue_runs_on_positions_at_or_above_the_cut(self, overrides, evaluated, monkeypatch):
         sizes = pvalue_sizes(monkeypatch)
         config = small_config(reps=2, **overrides)
-        records = simulation._cell_records(config, self.PROCEDURES, jobs=1)  # sizes in order
+        records = simulation._cell_records(config, self.PROCEDURES)
         assert len(sizes) == config.reps
         if evaluated == "all":
             assert sizes == [config.n] * config.reps
