@@ -208,15 +208,26 @@ def _rejected(rule, lam: np.ndarray, values: np.ndarray, positions=None) -> np.n
     ``_RULES``; ``lam`` holds lambda_1 .. lambda_n. ``positions`` are
     increasing, distinct 0-based positions and ``values`` their P-values;
     every other position must hold a P-value above every level the rule
-    can give it; ``None`` stands for every position. The walk reads the
-    schedule through a memoryview and the candidates as lists, so each
-    step of it handles Python floats only.
+    can give it; ``None`` stands for every position. The rule's bound
+    picks the candidates (``_candidates``) and its walk decides them
+    (``_walked``).
     """
-    bound, walk, _ = rule
-    candidates = np.flatnonzero(bound(values, lam, positions))
-    chosen = candidates if positions is None else positions[candidates]
-    hits = walk(memoryview(lam), chosen.tolist(), values[candidates].tolist())
-    return np.array(hits, dtype=np.intp)
+    return _walked(rule, lam, *_candidates(rule, lam, values, positions))
+
+
+def _candidates(rule, lam: np.ndarray, values: np.ndarray, positions=None):
+    """The positions a rule may reject and their P-values; arguments as in ``_rejected``."""
+    candidates = np.flatnonzero(rule[0](values, lam, positions))
+    return (candidates if positions is None else positions[candidates]), values[candidates]
+
+
+def _walked(rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rejected positions among a rule's candidates, in order.
+
+    The walk reads the schedule through a memoryview and the candidates
+    as lists, so each step of it handles Python floats only.
+    """
+    return np.array(rule[1](memoryview(lam), positions.tolist(), values.tolist()), dtype=np.intp)
 
 
 def _levels(p: np.ndarray, schedule, rule):

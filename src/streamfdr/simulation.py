@@ -15,8 +15,9 @@ stored.
 Replicates are seeded by (seed, cell parameters, replicate), so cells
 are independent of one another and of execution order, and any subset
 of a grid can be recomputed on its own with identical results. So
-``run_grid`` runs the (cell, replicate) units on a pool of threads and
-puts the records back in the fixed order (see ``_run``).
+``run_grid`` makes the (cell, replicate) units' datasets and P-values on
+a pool of threads, decides them in the calling thread and puts the
+records back in the fixed order (see ``_run``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import GGKernel, _as_finite_array, _check_gamma, gg_quantile, gg_sample, pvalue
-from .engines import _RULES, _bh_cutoff, _check_p_array, _rejected
+from .engines import _RULES, _bh_cutoff, _candidates, _check_p_array, _walked
 from .metrics import CSV_COLUMNS, MetricsRecord, TruthLabels, _fdp_fnp, pool
 from .schedules import (FieldError, LambdaSchedule, _check_nu, _check_q, _index,
                         make_adaptive_schedule, make_power_schedule)
@@ -182,12 +183,21 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
     return MixtureDataset(statistics=stats, truth=TruthLabels(config.n, positions + 1))
 
 
-def _hits(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
-          lam: np.ndarray | None) -> np.ndarray:
-    """Rejected positions of ``procedure`` among n, decided on the kept P-values ``val``."""
+def _pick(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
+          lam: np.ndarray | None):
+    """What ``procedure`` decides from, among n, given the kept P-values ``val`` at ``keep``.
+
+    The step-up rule's rejected positions, or the candidate positions and
+    their P-values that a streaming rule walks (``_decided``).
+    """
     if procedure == "bh":
         return keep[val <= _bh_cutoff(val, q, n)]
-    return _rejected(_RULES[procedure], lam, val, keep)
+    return _candidates(_RULES[procedure], lam, val, keep)
+
+
+def _decided(procedure: str, lam: np.ndarray | None, pick) -> np.ndarray:
+    """Rejected positions of ``procedure`` from its ``_pick``: a streaming rule walks it."""
+    return pick if procedure == "bh" else _walked(_RULES[procedure], lam, *pick)
 
 
 class _Cell(NamedTuple):
@@ -213,13 +223,22 @@ def _cell(config: MixtureConfig, procedures, lam: np.ndarray | None = None) -> _
     return _Cell(config, tuple(procedures), lam, cut)
 
 
-def _replicate(cell: _Cell, rep: int) -> list[MetricsRecord]:
-    """Replicate ``rep`` of a cell: one record per procedure, in the cell's order.
+class _Draw(NamedTuple):
+    """One replicate's data as its decisions read it; made on a worker, read in the caller."""
 
-    This is the unit a worker runs: generate, keep, P-values, then each
-    procedure's rejected positions and counts. It reads the cell and
-    writes only the arrays it makes, so units run on any thread in any
-    order give the same records.
+    signal: np.ndarray  # the signal mask over all n positions
+    n_signals: int
+    picks: tuple  # each procedure's _pick, in the cell's order
+
+
+def _draw(cell: _Cell, rep: int) -> _Draw:
+    """Replicate ``rep`` of a cell: generate, keep, P-values and each procedure's pick.
+
+    This is the part of a unit that threads overlap: whole-array numpy and
+    scipy calls (the draws, the P-values, the bounds, the sort) that
+    release the GIL. It keeps only the picks, a few percent of the kept
+    P-values in a sparse cell, and the signal mask. It reads the cell
+    and writes only the arrays it makes.
     """
     config = cell.config
     n, q = config.n, config.effective_q()
@@ -227,61 +246,112 @@ def _replicate(cell: _Cell, rep: int) -> list[MetricsRecord]:
     stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
     keep = np.flatnonzero(stats >= cell.cut)
     val = _check_p_array(pvalue(config.kernel, stats[keep]))
-    signal = dataset.truth.signal_mask()  # one mask serves every procedure's count
-    n_signals = dataset.truth.false_null_indices.size
+    picks = tuple(_pick(proc, n, keep, val, q, cell.lam) for proc in cell.procedures)
+    # One mask serves every procedure's count.
+    return _Draw(dataset.truth.signal_mask(), dataset.truth.false_null_indices.size, picks)
+
+
+def _records(cell: _Cell, rep: int, draw: _Draw) -> list[MetricsRecord]:
+    """One record per procedure of the cell, in its order, from replicate ``rep``'s draw.
+
+    The streaming rules' walks are Python loops that hold the GIL, so
+    they run here, in the calling thread, and never contend with a
+    worker for it.
+    """
+    n = cell.config.n
     records = []
-    for proc in cell.procedures:
-        hits = _hits(proc, n, keep, val, q, cell.lam)
-        f, g = _fdp_fnp(hits.size, int(np.count_nonzero(signal[hits])), n_signals)
+    for proc, pick in zip(cell.procedures, draw.picks):
+        hits = _decided(proc, cell.lam, pick)
+        f, g = _fdp_fnp(hits.size, int(np.count_nonzero(draw.signal[hits])), draw.n_signals)
         records.append(MetricsRecord(n=n, fdp=f, fnp=g, rejections=hits.size, replicate_id=rep))
     return records
 
 
 # Bytes one unit holds at its peak, per statistic of its cell, at most: the
 # statistics, positions and signal labels, kept positions, P-values and their
-# temporaries. A cell that keeps every position of a near-dense mixture
+# temporaries while it is drawn, then its draw and the walks' lists while it
+# is decided. A cell that keeps every position of a near-dense mixture
 # (beta 0.01, gamma = 1) peaks at about 123 under tracemalloc.
 _UNIT_BYTES_PER_N = 128
-# The working arrays of a pool's units together stay under this, unless one
+# The working arrays of a batch of units together stay under this, unless one
 # unit alone needs more: then the units run in this thread, one at a time.
 _POOL_BYTES = 1 << 30
+
+
+def _fit(n: int) -> int:
+    """Units of n statistics whose working arrays fit in ``_POOL_BYTES`` together."""
+    return _POOL_BYTES // (_UNIT_BYTES_PER_N * n)
+
+
+def _cpus() -> list[int]:
+    """The CPUs this process may use, in order; empty where the platform cannot tell."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return []
 
 
 def _workers(units: int, n: int) -> int:
     """Threads for ``units`` units of at most ``n`` statistics each.
 
-    One per CPU this process may use (``os.sched_getaffinity``, else
-    ``os.cpu_count()``), at most one per unit, and no more than the units
-    whose working arrays fit in ``_POOL_BYTES`` together; at least one.
+    One per CPU this process may use (``_cpus``, else ``os.cpu_count()``),
+    at most one per unit, and no more than ``_fit(n)``; at least one.
     """
+    usable = len(_cpus()) or os.cpu_count() or 1
+    return max(1, min(usable, units, _fit(n)))
+
+
+def _place(cpus) -> None:
+    """Move the calling thread to the next CPU of the iterator ``cpus``, then let it run on any.
+
+    Where the kernel does not balance load across CPUs (a cpuset with load
+    balancing off, as on some container hosts), a new thread stays on the
+    CPU of the thread that started it, so a pool's threads would take turns
+    on one CPU. Setting the thread's affinity to one CPU moves it there, and
+    setting it back leaves it there until the scheduler moves it.
+    """
+    cpu = next(cpus)
     try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        usable = os.cpu_count() or 1
-    fit = _POOL_BYTES // (_UNIT_BYTES_PER_N * n)
-    return max(1, min(usable, units, fit))
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # the CPU is not this thread's to take: it stays where it is
+        pass
 
 
 def _run(cells: list[_Cell]) -> list[list[list[MetricsRecord]]]:
     """For each cell, one record list per procedure: every (cell, replicate) unit run once.
 
-    The units run on a pool of ``_workers`` threads, or in this thread,
-    in order, with no pool when that is 1. Threads share only the
-    read-only lambda arrays and the frozen configs; generation, P-values
-    and the sort release the GIL, so they overlap. Each unit is seeded by
-    (seed, cell, replicate) alone, so the records, and the order they are
-    put back in, are the same for every thread count. An exception raised
-    in a unit reaches the caller unchanged.
+    With ``_workers`` above 1, a pool of that many threads, each started
+    on a CPU of its own (``_place``), makes the draws (``_draw``) of a
+    batch of units, each thread taking the next unit as it finishes one;
+    once all of them are made, this thread decides them in order
+    (``_records``). So the walks, which hold the GIL, never run while a
+    draw does, and a thread waits for the GIL only for the short Python
+    steps between numpy calls. A batch is ``_fit(n)`` units: each holds at
+    most ``_UNIT_BYTES_PER_N`` bytes per statistic, drawing, drawn or
+    decided, so a batch stays under ``_POOL_BYTES``. With one worker, the
+    units run in order in this thread and no pool is made. Threads share
+    only the read-only lambda arrays and the frozen configs. Each unit is
+    seeded by (seed, cell, replicate) alone, so the records, and the
+    order they are put back in, are the same for every thread count. An
+    exception raised in a unit reaches the caller unchanged.
     """
     units = [(cell, rep) for cell in cells for rep in range(cell.config.reps)]
-    workers = _workers(len(units), max(cell.config.n for cell in cells))
+    n = max(cell.config.n for cell in cells)
+    workers = _workers(len(units), n)
     if workers == 1:
-        done = [_replicate(cell, rep) for cell, rep in units]
+        done = [_records(cell, rep, _draw(cell, rep)) for cell, rep in units]
     else:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
 
-        with ThreadPoolExecutor(workers) as executor:
-            done = list(executor.map(_replicate, *zip(*units)))
+        done, batch, cpus = [], _fit(n), _cpus()
+        place = {"initializer": _place, "initargs": (iter(cpus),)} if cpus else {}
+        with ThreadPoolExecutor(workers, **place) as executor:
+            for start in range(0, len(units), batch):
+                part = units[start:start + batch]
+                draws = list(executor.map(_draw, *zip(*part)))
+                done.extend(_records(cell, rep, draw) for (cell, rep), draw in zip(part, draws))
     out, start = [], 0
     for cell in cells:  # replicate-major back to procedure-major
         stop = start + cell.config.reps
@@ -294,9 +364,9 @@ def _cell_records(config: MixtureConfig, procedures) -> list[list[MetricsRecord]
     """One record list per entry of ``procedures``, in order, for one cell.
 
     Each replicate's dataset and P-values are built once and every
-    procedure decides on them (``_replicate``). The replicates run on
-    threads as in ``run_grid``, with the same records for every thread
-    count.
+    procedure decides on them (``_draw``, then ``_records``). The draws
+    are made on threads as in ``run_grid``, with the same records for
+    every thread count.
 
     Only P-values at or below the budget q can be rejected: a step-up
     threshold q j / n is at most q, a lord level is one schedule value and
@@ -327,7 +397,7 @@ def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
     The streaming rules consume P-values in index order 1..n; the static
     baseline sees the whole vector at once. Each replicate is generated
     once here; ``run_grid`` generates it once for all procedures of a cell.
-    The replicates run on threads as in ``run_grid``.
+    The replicates' draws are made on threads as in ``run_grid``.
     """
     if procedure not in PROCEDURES:
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
@@ -359,14 +429,16 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     ``run_cell`` per procedure plus ``pool``. The cells of one n share
     one lambda array.
 
-    Every (cell, replicate) unit of the grid runs on one pool of threads:
-    one per CPU this process may use (``os.sched_getaffinity``), at most
-    one per unit, and no more than fit in about 1 GiB of working arrays at
-    the grid's largest n (``_workers``). With one, the units run in order
-    in this thread and no pool is made. The threads share only the
-    read-only lambda arrays and the frozen configs, and the rows are put
-    back in the fixed order, so rows and CSV bytes are the same for every
-    thread count.
+    The (cell, replicate) units' datasets, P-values, step-up rejections
+    and streaming candidates are made on one pool of threads, a batch at
+    a time, and the streaming rules walk each batch in this thread
+    (``_run``): one thread per CPU this process may use
+    (``os.sched_getaffinity``), at most one per unit, and no more than
+    fit in about 1 GiB of working arrays at the grid's largest n
+    (``_workers``). With one, the units run in order in this thread and
+    no pool is made. The threads share only the read-only lambda arrays
+    and the frozen configs, and the rows are put back in the fixed
+    order, so rows and CSV bytes are the same for every thread count.
     """
     r_values = list(r_values)
     n_values = list(n_values)

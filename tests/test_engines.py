@@ -457,7 +457,7 @@ def assert_subset_decides_as_full(p, forced, sched, q):
     lam = sched.slice(1, p.size + 1)
     full = {"lord": lord_levels(p, sched)[1], "lond": lond_levels(p, sched)[1], "bh": bh_mask(p, q)}
     for proc, rejected in full.items():
-        hits = simulation._hits(proc, p.size, keep, p[keep], q, lam)
+        hits = simulation._decided(proc, lam, simulation._pick(proc, p.size, keep, p[keep], q, lam))
         np.testing.assert_array_equal(hits, np.flatnonzero(rejected), err_msg=proc)
 
 

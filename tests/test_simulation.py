@@ -472,6 +472,16 @@ class TestThreads:
             data.append((tmp_path / f"{k}.csv").read_bytes())
         assert data[0] == data[1] == data[2]
 
+    def test_rows_equal_when_a_grid_runs_in_batches(self, monkeypatch):
+        base = small_config(beta=0.4, reps=3)
+        usable_cpus(monkeypatch, 1)
+        want = run_grid(base, [0.5, 1.1], [1000, 3000])
+        # Three units of the largest n fit in a batch: the 12 units run in four.
+        monkeypatch.setattr(simulation, "_POOL_BYTES", 3 * simulation._UNIT_BYTES_PER_N * 3000)
+        assert simulation._fit(3000) == 3
+        usable_cpus(monkeypatch, 2)
+        assert run_grid(base, [0.5, 1.1], [1000, 3000]) == want
+
     def test_cell_records_equal_for_every_thread_count(self, monkeypatch):
         config = small_config(beta=0.3, reps=5)
         usable_cpus(monkeypatch, 1)
@@ -512,6 +522,24 @@ class TestThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert simulation._workers(10, 1000) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls")
+    def test_place_leaves_the_thread_free_to_run_anywhere(self):
+        allowed = os.sched_getaffinity(0)
+        seen = []
+
+        def placed(cpus):
+            simulation._place(cpus)
+            seen.append(os.sched_getaffinity(0))
+
+        # One of this process's CPUs, then one it may not use: the thread keeps its
+        # affinity either way.
+        for cpus in ([min(allowed)], [max(allowed) + 1]):
+            thread = threading.Thread(target=placed, args=(iter(cpus),))
+            thread.start()
+            thread.join()
+        assert seen == [allowed, allowed]
+        assert os.sched_getaffinity(0) == allowed
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -527,7 +555,7 @@ class TestThreads:
         cell = simulation._cell(small_config(n=n, reps=1, **overrides), simulation.PROCEDURES)
         tracemalloc.start()
         try:
-            simulation._replicate(cell, 0)
+            simulation._records(cell, 0, simulation._draw(cell, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -581,7 +609,7 @@ def cell_records(config, procedures, masks):
     Each mask is rebuilt from the rejected positions the cell returns. The
     cell runs on one thread, so the masks come in replicate order.
     """
-    original = simulation._hits
+    original = simulation._decided
 
     def recorded(*args):
         hits = original(*args)
@@ -591,7 +619,7 @@ def cell_records(config, procedures, masks):
         return hits
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "_hits", recorded)
+        patch.setattr(simulation, "_decided", recorded)
         usable_cpus(patch, 1)
         return simulation._cell_records(config, procedures)
 
