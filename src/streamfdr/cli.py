@@ -218,8 +218,9 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
             for line in lines:
                 count += 1
                 try:
-                    # decode() and float() reject unreadable text, the step a P-value outside [0, 1].
-                    decision = step(state, schedule, float(line.decode(encoding, errors)))
+                    # decode() and float() reject unreadable text, the step a P-value outside
+                    # [0, 1]; + 0.0 turns -0.0 into 0.0, so the line -0.0 echoes as 0.0.
+                    decision = step(state, schedule, float(line.decode(encoding, errors)) + 0.0)
                 except ValueError:
                     stdout.write("".join(out))
                     stdout.flush()

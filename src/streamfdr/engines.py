@@ -13,9 +13,11 @@ as a non-sequential baseline.
 
 ``run_stream`` and the ``*_levels`` array forms compute exactly what
 folding the step functions would, through one core shared by both
-rules. A rule is three small functions: a bound on every level the rule
-can give a position, a walk over the positions whose P-values meet it,
-and the levels that a set of rejections implies.
+rules and by the simulation cells. A rule (``_Rule``) is a few small
+functions: a bound on every level the rule can give a position, a
+round's comparisons, the state that settled rejections leave, a walk
+with the step's own expression, and the levels that a set of
+rejections implies.
 
 The core takes the positions it may reject from, with their P-values,
 and returns the rejected ones; the array forms give it every position
@@ -26,15 +28,34 @@ for lord (lambda_1 when the schedule does not increase),
 ``lambda_i * i`` for lond (``D <= i - 1``, multiplying a float by an
 exact integer is monotone, and lambda >= 0). Only a candidate can
 reject, and a rule's state (last discovery ``t``, discovery count ``D``)
-changes only at a rejection, so walking the candidates in order with
-the step's own float expression, and nothing else, yields every
-rejection and the exact state before each position. A position left out
-must therefore hold a P-value no level reaches (such as 1.0 when every
-level is below 1), and it changes nothing. The array forms then rebuild
-the levels from the rejected positions in one vectorized pass. The cost
-is O(n) vectorized work plus one Python iteration (about 0.3 us) per
-candidate: a discovery chain costs what an all-zero stream costs, and a
-stream of acceptances walks nothing.
+changes only at a rejection. A position left out must therefore hold a
+P-value no level reaches (such as 1.0 when every level is below 1), and
+it changes nothing.
+
+Both rules are monotone: more past rejections never lower a level. A
+later last discovery reads the schedule nearer lambda_1, which is no
+smaller since a schedule does not increase (lord needs this); a larger
+count multiplies lambda_i by a larger whole number, which is no smaller
+in floats too (lond). So the core decides the candidates in rounds
+(``_walked``). It starts with no rejection settled. Each round gives
+every open candidate the level that the settled rejections imply and
+settles those at or below it: the true state holds at least those
+rejections, so its level is no lower, and by induction every settled
+candidate is a true rejection. A candidate above the level it would
+have were every open candidate before it rejected is an acceptance.
+A round that settles nothing has found every rejection, as the first
+one missed would have had its exact state and been settled. When the
+rounds stop short of that, the step's own float expressions walk the
+candidates from the first one left open, from its exact state, since
+every candidate before it is decided.
+
+So the cost is a few vectorized passes per round over the open
+candidates, plus one Python iteration (about 0.1-0.3 us) per walked
+candidate. An all-zero stream settles in one round and a dense mixture
+in a few; neither walks. A stream of acceptances has no candidate. A
+discovery chain settles one link per round, so its rounds stop after
+the first and it walks every link. The array forms then rebuild the
+levels from the rejected positions in one vectorized pass.
 
 The step-up rule's cutoff likewise reads only the P-values at or below
 ``q * n / n`` with the full count n, so it can be given just those.
@@ -42,8 +63,9 @@ The step-up rule's cutoff likewise reads only the P-values at or below
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -145,13 +167,41 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
 
 
 def _lord_bound(values: np.ndarray, lam: np.ndarray, positions) -> np.ndarray:
-    """Candidates of lord: every level is some lambda_j, so at most the largest."""
+    """Candidates of lord: every level is some lambda_j, so at most the largest.
+
+    This holds for any schedule. The rounds of ``_walked`` need more: a
+    schedule that does not increase, as ``LambdaSchedule`` defines one,
+    so that a later last discovery never lowers a level.
+    """
     return values <= lam.max(initial=0.0)
 
 
-def _lord_walk(lam: memoryview, positions: list, values: list) -> list:
+def _lord_round(lam: np.ndarray, positions: np.ndarray, values: np.ndarray, t):
+    """``(hit, live)``: which open candidates meet ``lambda_{i - t}`` now, and which still can.
+
+    ``hit`` compares with the level that the settled rejections give:
+    ``t`` is 1 + the last settled position before each candidate (0 for
+    none). ``live`` compares with the largest level, which takes every
+    open candidate before it as a rejection too, so its ``t`` is 1 + the
+    open candidate just before it when that is later.
+    """
+    at = positions - t
+    hit = values <= lam.take(at)
+    np.minimum(at[1:], np.diff(positions) - 1, out=at[1:])
+    return hit, values <= lam.take(at)
+
+
+def _lord_settle(t, positions: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """``t`` at each position once the ``hit`` ones are settled (read where ``hit`` is False)."""
+    last = np.where(hit, positions, -1)
+    np.maximum.accumulate(last, out=last)
+    last += 1
+    return np.maximum(t, last, out=last)
+
+
+def _lord_walk(lam: memoryview, positions: list, values: list, t: int) -> list:
     """Rejected positions among the candidates; ``t`` is the last discovery (1-based)."""
-    hits, t = [], 0
+    hits = []
     for k, x in zip(positions, values):
         if x <= lam[k - t]:  # alpha_{k+1} = lambda_{k+1-t}
             t = k + 1
@@ -175,12 +225,33 @@ def _lond_bound(values: np.ndarray, lam: np.ndarray, positions) -> np.ndarray:
     return values <= np.multiply(at, i, out=i)
 
 
-def _lond_walk(lam: memoryview, positions: list, values: list) -> list:
-    """Rejected positions among the candidates; ``d`` is the discovery count plus one.
+def _lond_round(lam: np.ndarray, positions: np.ndarray, values: np.ndarray, d):
+    """``(hit, live)``: which open candidates meet ``lambda_i d`` now, and which still can.
 
-    The ``min(1, .)`` clamp of the step cannot change a decision, as p <= 1.
+    ``hit`` compares with the level that the settled rejections give:
+    ``d`` is 1 + the settled count before each candidate. ``live``
+    compares with the largest level, which counts every open candidate
+    before it as a discovery too; a float times a larger whole number is
+    no smaller. Neither needs the step's ``min(1, .)`` clamp, which
+    cannot change a decision as p <= 1.
     """
-    hits, d = [], 1
+    at = lam.take(positions)
+    hit = values <= at * d
+    count = np.arange(positions.size)
+    count += d
+    return hit, values <= np.multiply(at, count, out=at)
+
+
+def _lond_settle(d, positions: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """``d`` at each position once the ``hit`` ones are settled (read where ``hit`` is False)."""
+    count = np.cumsum(hit)
+    count += d
+    return count
+
+
+def _lond_walk(lam: memoryview, positions: list, values: list, d: int) -> list:
+    """Rejected positions among the candidates; ``d`` is the discovery count plus one."""
+    hits = []
     for k, x in zip(positions, values):
         if x <= lam[k] * d:
             d += 1
@@ -195,39 +266,124 @@ def _lond_levels(lam: np.ndarray, runs: np.ndarray) -> np.ndarray:
     return np.minimum(alpha, 1.0, out=alpha)
 
 
+class _Rule(NamedTuple):
+    """A streaming rule as the core runs it; ``fresh`` is its state before any discovery."""
+
+    name: str
+    bound: Callable
+    round: Callable
+    settle: Callable
+    walk: Callable
+    levels: Callable
+    fresh: int
+
+
 _RULES = {
-    "lord": (_lord_bound, _lord_walk, _lord_levels),
-    "lond": (_lond_bound, _lond_walk, _lond_levels),
+    "lord": _Rule("lord", _lord_bound, _lord_round, _lord_settle, _lord_walk, _lord_levels, 0),
+    "lond": _Rule("lond", _lond_bound, _lond_round, _lond_settle, _lond_walk, _lond_levels, 1),
 }
 
+# A walk step (one Python iteration) costs about as much as this many
+# candidates' levels in a round: about 0.12 us against 0.04 us per open
+# candidate and round on the dense mixtures of the benchmark (n = 1e5).
+_WALK_COST = 4
 
-def _rejected(rule, lam: np.ndarray, values: np.ndarray, positions=None) -> np.ndarray:
+
+def _rejected(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None,
+              stats=None) -> np.ndarray:
     """Rejected positions of a stream of ``lam.size`` P-values, from those it may reject.
 
-    ``rule`` is a rule's ``(bound, walk, levels)`` functions, as in
-    ``_RULES``; ``lam`` holds lambda_1 .. lambda_n. ``positions`` are
-    increasing, distinct 0-based positions and ``values`` their P-values;
-    every other position must hold a P-value above every level the rule
-    can give it; ``None`` stands for every position. The rule's bound
-    picks the candidates (``_candidates``) and its walk decides them
-    (``_walked``).
+    ``rule`` is one of ``_RULES``; ``lam`` holds lambda_1 .. lambda_n.
+    ``positions`` are increasing, distinct 0-based positions and
+    ``values`` their P-values; every other position must hold a P-value
+    above every level the rule can give it; ``None`` stands for every
+    position. The rule's bound picks the candidates (``_candidates``) and
+    the rounds and the walk decide them (``_walked``, which also takes
+    ``stats``).
     """
-    return _walked(rule, lam, *_candidates(rule, lam, values, positions))
+    return _walked(rule, lam, *_candidates(rule, lam, values, positions), stats)
 
 
-def _candidates(rule, lam: np.ndarray, values: np.ndarray, positions=None):
+def _candidates(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None):
     """The positions a rule may reject and their P-values; arguments as in ``_rejected``."""
-    candidates = np.flatnonzero(rule[0](values, lam, positions))
+    candidates = np.flatnonzero(rule.bound(values, lam, positions))
     return (candidates if positions is None else positions[candidates]), values[candidates]
 
 
-def _walked(rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rejected positions among a rule's candidates, in order.
+def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray,
+            stats=None) -> np.ndarray:
+    """Rejected positions among a rule's candidates, in order: rounds, then a walk if need be.
 
-    The walk reads the schedule through a memoryview and the candidates
-    as lists, so each step of it handles Python floats only.
+    Each round takes the candidates still open, with the state that the
+    settled rejections give each (``rule.round``). One whose P-value is
+    at or below that level is settled as a rejection; one above the
+    level it would have with every open candidate before it rejected is
+    decided as an acceptance; the rest stay open. A round that settles
+    nothing ends the rounds: the settled set is then the rule's.
+
+    The rounds also stop when going on would cost more than walking.
+    A round that decides ``k`` candidates and leaves ``left`` open
+    predicts about ``left / k`` more rounds over at most ``left``
+    candidates each, so ``left**2 / k`` levels; walking the ``w``
+    candidates from the first open one costs ``_WALK_COST * w``. That
+    prediction holds where progress is steady, as on a discovery chain,
+    which settles one link per round. Where it grows, it fails: a dense
+    stream's first round settles only its smallest P-values, and each of
+    those lets its neighbours settle in the next. So a round that decides
+    at least twice what the round before it did goes on; for the first
+    round, twice what it decided in front of the first open candidate
+    (a chain's first round decides only there). A streak of doubling
+    rounds is at most about log2 of the candidates long, and any other
+    round that goes on decides at least ``left**2 / (_WALK_COST * w)``
+    candidates, so the rounds never cost much more than the walk they
+    spare, and never a quadratic amount.
+
+    When the rounds stop, the walk starts at the first open candidate,
+    whose state is exact since every candidate before it is decided, and
+    runs the rule's step expressions over every later candidate; it
+    reads the schedule through a memoryview and the candidates as lists,
+    so each step handles Python floats only.
+
+    Given a dict, ``stats[rule.name]`` (a ``Counter``) gains the
+    candidates, the rounds, the positions walked and the rejections.
     """
-    return np.array(rule[1](memoryview(lam), positions.tolist(), values.tolist()), dtype=np.intp)
+    n = positions.size
+    rejected = np.zeros(n, dtype=bool)  # settled, by candidate
+    index, open_, x, state = None, positions, values, rule.fresh  # index None: every candidate
+    rounds, start, decided = 0, n, None  # the walk takes the candidates from start on
+    while open_.size:
+        rounds += 1
+        hit, live = rule.round(lam, open_, x, state)
+        if not hit.any():
+            break
+        live ^= hit  # a settled candidate is at or below both levels
+        rejected[hit if index is None else index[hit]] = True
+        left = np.count_nonzero(live)
+        if not left:
+            break
+        first = int(live.argmax())
+        begin = first if index is None else int(index[first])  # the first open candidate
+        grown = open_.size - left >= 2 * (first if decided is None else decided)
+        decided = open_.size - left
+        if not grown and left * left > _WALK_COST * decided * (n - begin):
+            head = slice(first + 1)
+            state = rule.settle(state[head] if np.ndim(state) else state, open_[head], hit[head])
+            state = int(state[-1])
+            start = begin
+            del open_, x, index  # the walk's lists take their place
+            break
+        state = rule.settle(state, open_, hit)[live]
+        index = np.flatnonzero(live) if index is None else index[live]
+        open_, x = positions.take(index), values.take(index)
+    hits = positions[:start][rejected[:start]]
+    if start < n:
+        more = rule.walk(memoryview(lam), positions[start:].tolist(), values[start:].tolist(), state)
+        more = np.array(more, dtype=np.intp)
+        hits = np.concatenate((hits, more)) if hits.size else more
+    if stats is not None:
+        stats.setdefault(rule.name, Counter()).update(
+            candidates=n, rounds=rounds, walked=n - start, rejections=hits.size)
+    return hits
 
 
 def _levels(p: np.ndarray, schedule, rule):
@@ -243,7 +399,7 @@ def _levels(p: np.ndarray, schedule, rule):
     rejected = np.zeros(n, dtype=bool)
     rejected[hits] = True
     after = hits + 1
-    return rule[2](lam, np.diff(after[after < n], prepend=0, append=n)), rejected
+    return rule.levels(lam, np.diff(after[after < n], prepend=0, append=n)), rejected
 
 
 def lord_levels(pvalues, schedule: LambdaSchedule):

@@ -188,7 +188,7 @@ def _pick(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
     """What ``procedure`` decides from, among n, given the kept P-values ``val`` at ``keep``.
 
     The step-up rule's rejected positions, or the candidate positions and
-    their P-values that a streaming rule walks (``_decided``).
+    their P-values that a streaming rule decides (``_decided``).
     """
     if procedure == "bh":
         return keep[val <= _bh_cutoff(val, q, n)]
@@ -196,7 +196,7 @@ def _pick(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
 
 
 def _decided(procedure: str, lam: np.ndarray | None, pick) -> np.ndarray:
-    """Rejected positions of ``procedure`` from its ``_pick``: a streaming rule walks it."""
+    """Rejected positions of ``procedure`` from its ``_pick``: a streaming rule decides it."""
     return pick if procedure == "bh" else _walked(_RULES[procedure], lam, *pick)
 
 
@@ -254,9 +254,11 @@ def _draw(cell: _Cell, rep: int) -> _Draw:
 def _records(cell: _Cell, rep: int, draw: _Draw) -> list[MetricsRecord]:
     """One record per procedure of the cell, in its order, from replicate ``rep``'s draw.
 
-    The streaming rules' walks are Python loops that hold the GIL, so
-    they run here, in the calling thread, and never contend with a
-    worker for it.
+    The streaming rules decide their candidates in vectorized rounds,
+    with a Python walk only where the rounds stop early
+    (``engines._walked``). A round is many short numpy calls with Python
+    steps between them, and a walk holds the GIL throughout, so both run
+    here, in the calling thread, and never contend with a worker for it.
     """
     n = cell.config.n
     records = []
@@ -269,9 +271,10 @@ def _records(cell: _Cell, rep: int, draw: _Draw) -> list[MetricsRecord]:
 
 # Bytes one unit holds at its peak, per statistic of its cell, at most: the
 # statistics, positions and signal labels, kept positions, P-values and their
-# temporaries while it is drawn, then its draw and the walks' lists while it
-# is decided. A cell that keeps every position of a near-dense mixture
-# (beta 0.01, gamma = 1) peaks at about 123 under tracemalloc.
+# temporaries while it is drawn, then its draw and the rounds' temporaries (or a
+# walk's lists) while it is decided. A cell that keeps every position of a
+# near-dense mixture (beta 0.01, gamma = 1) peaks at about 90 under tracemalloc
+# when rounds decide it, and at about 115 when it walks every candidate.
 _UNIT_BYTES_PER_N = 128
 # The working arrays of a batch of units together stay under this, unless one
 # unit alone needs more: then the units run in this thread, one at a time.
@@ -326,11 +329,12 @@ def _run(cells: list[_Cell]) -> list[list[list[MetricsRecord]]]:
     on a CPU of its own (``_place``), makes the draws (``_draw``) of a
     batch of units, each thread taking the next unit as it finishes one;
     once all of them are made, this thread decides them in order
-    (``_records``). So the walks, which hold the GIL, never run while a
-    draw does, and a thread waits for the GIL only for the short Python
-    steps between numpy calls. A batch is ``_fit(n)`` units: each holds at
-    most ``_UNIT_BYTES_PER_N`` bytes per statistic, drawing, drawn or
-    decided, so a batch stays under ``_POOL_BYTES``. With one worker, the
+    (``_records``). So the decisions, whose rounds are short numpy calls
+    between Python steps, never run while a draw does, and a thread
+    waits for the GIL only for the short Python steps between numpy
+    calls. A batch is ``_fit(n)`` units: each holds at most
+    ``_UNIT_BYTES_PER_N`` bytes per statistic, drawing, drawn or decided,
+    so a batch stays under ``_POOL_BYTES``. With one worker, the
     units run in order in this thread and no pool is made. Threads share
     only the read-only lambda arrays and the frozen configs. Each unit is
     seeded by (seed, cell, replicate) alone, so the records, and the
@@ -431,7 +435,7 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
 
     The (cell, replicate) units' datasets, P-values, step-up rejections
     and streaming candidates are made on one pool of threads, a batch at
-    a time, and the streaming rules walk each batch in this thread
+    a time, and the streaming rules decide each batch in this thread
     (``_run``): one thread per CPU this process may use
     (``os.sched_getaffinity``), at most one per unit, and no more than
     fit in about 1 GiB of working arrays at the grid's largest n

@@ -328,6 +328,13 @@ class TestStreamCommand:
         assert "# error line 2" in err
         assert len(out) == 1  # decisions up to the bad line only
 
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_negative_zero_echoes_as_zero(self, procedure):
+        code, out, _ = run_stream_inproc(["-0.0", "-0", "0.0"], procedure=procedure)
+        zero = run_stream_inproc(["0.0", "0.0", "0.0"], procedure=procedure)[1]
+        assert code == EXIT_OK and out == zero
+        assert [line.split()[2] for line in out[:3]] == ["0.0"] * 3
+
     def test_unparseable_line_exits_4(self):
         code, _, err = run_stream_inproc(["oops"])
         assert code == EXIT_STREAM

@@ -323,22 +323,21 @@ def assert_core_matches_fold(p, sched):
         assert rejected.tolist() == [d.rejected for d in decisions], engine
 
 
-def chain(rule, sched, n, zeros=0, break_every=0, tie=True):
+def chain(rule, sched, n, fill=None, tie=True):
     """A discovery chain of ``rule``: each link's P-value is the level the rule gives it.
 
-    After ``zeros`` leading 0s, every link rejects and so sets the next
-    link's level; a 1 at every ``break_every``-th index breaks the chain,
-    which resumes at the level the break leaves. Links are exact ties, or
-    one ulp below their level (at least 0) without ``tie``.
+    ``fill(i, n)`` gives the P-value at the 1-based index i, or None for a
+    link there; without ``fill`` every index is a link. A link rejects and
+    so sets the next link's level; any other P-value moves the state as
+    the rule does, and the chain resumes at the level it leaves. Links
+    are exact ties, or one ulp below their level (at least 0) without
+    ``tie``.
     """
     p, t, d = [], 0, 0
     for i in range(1, n + 1):
         level = sched.lambda_at(i - t) if rule == "lord" else min(1.0, sched.lambda_at(i) * (d + 1))
-        if i <= zeros:
-            x = 0.0
-        elif break_every and i % break_every == 0:
-            x = 1.0
-        else:
+        x = fill(i, n) if fill else None
+        if x is None:
             x = level if tie else max(0.0, math.nextafter(level, 0.0))
         if x <= level:
             t, d = i, d + 1
@@ -346,11 +345,25 @@ def chain(rule, sched, n, zeros=0, break_every=0, tie=True):
     return p
 
 
+# Dense P-values (about 40% at or below lambda_1 of the power schedule) for
+# the blocks between chain blocks.
+DENSE = np.random.default_rng(5).random(5001) ** 6
+
 CHAIN_FAMILIES = {
     "pure": {"tie": False},
-    "after 400 zeros": {"zeros": 400, "tie": False},
-    "broken by a 1 every 50": {"break_every": 50, "tie": False},
+    "after 400 zeros": {"fill": lambda i, n: 0.0 if i <= 400 else None, "tie": False},
+    "broken by a 1 every 50": {"fill": lambda i, n: 1.0 if i % 50 == 0 else None, "tie": False},
     "exact ties": {},
+    "then zeros": {"fill": lambda i, n: 0.0 if i > n // 2 else None, "tie": False},
+    "after zeros to the middle": {"fill": lambda i, n: 0.0 if i <= n // 2 else None, "tie": False},
+    "between dense blocks": {
+        "fill": lambda i, n: float(DENSE[i % DENSE.size]) if (i - 1) // 40 % 2 == 0 else None,
+        "tie": False,
+    },
+    # The rounds settle the zeros and the first link, then stop; the walk
+    # starts at the next link, an exact tie with the level its exact state
+    # gives it.
+    "a tie at the first open link": {"fill": lambda i, n: 0.0 if i <= n // 3 else None},
 }
 
 
@@ -396,7 +409,8 @@ class TestSharedCore:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_discovery_chain(self, name):
         # p_i = lambda_1: under lord every rejection enables the next, so
-        # every position is a candidate and the walk visits each one.
+        # every position is a candidate, the rounds stop after the first
+        # and the walk visits the rest.
         sched = SCHEDULES[name]
         assert_core_matches_fold(np.full(300, sched.lambda_at(1)), sched)
 
@@ -524,45 +538,72 @@ class TestSubsetCore:
         assert_subset_decides_as_full(*SUBSET_CASES[name])
 
 
-def count_walked(monkeypatch):
-    """Record how many candidate positions each call of a rule's walk visits."""
-    walked = []
-    for name, (bound, walk, levels) in list(engines._RULES.items()):
-        def counted(lam, positions, values, walk=walk):
-            walked.append(len(positions))
-            return walk(lam, positions, values)
+def core_counts(rule, p, sched=SCHEDULES["power"]):
+    """The core's counters for one rule on the P-values ``p``, and its rejections."""
+    stats = {}
+    p = np.asarray(p, dtype=np.float64)
+    hits = engines._rejected(engines._RULES[rule], sched.slice(1, p.size + 1), p, stats=stats)
+    assert stats[rule]["rejections"] == hits.size
+    return stats[rule], hits
 
-        monkeypatch.setitem(engines._RULES, name, (bound, counted, levels))
-    return walked
+
+# The chains whose rounds must stop at once: (the rule they chain, chain options).
+COST_CHAINS = {
+    "lord chain": ("lord", CHAIN_FAMILIES["pure"]),
+    "lond chain": ("lond", CHAIN_FAMILIES["pure"]),
+    "400 zeros, then the lord chain": ("lord", CHAIN_FAMILIES["after 400 zeros"]),
+}
 
 
 class TestRounds:
-    """One walk per call; the positions it visits, not its time, pin its cost."""
+    """The core's counters, not its time, pin its cost: rounds, and positions walked."""
 
     @pytest.mark.parametrize("value", [0.0, 1.0])
-    @pytest.mark.parametrize("levels", [lord_levels, lond_levels])
-    def test_constant_streams_settle_in_few_rounds(self, monkeypatch, levels, value):
-        # Every 0 is a candidate; no 1 is one, so a stream of acceptances walks nothing.
-        walked = count_walked(monkeypatch)
+    @pytest.mark.parametrize("rule", ["lord", "lond"])
+    def test_constant_streams_walk_nothing(self, rule, value):
+        # Every 0 is settled in the first round; no 1 is a candidate.
         n = 10**5
-        levels(np.full(n, value), SCHEDULES["power"])
-        assert walked == [n if value == 0.0 else 0]
+        counts, _ = core_counts(rule, np.full(n, value))
+        want = n if value == 0.0 else 0
+        assert counts == {"candidates": want, "rounds": int(value == 0.0), "walked": 0, "rejections": want}
 
-    @pytest.mark.parametrize("levels", [lord_levels, lond_levels])
-    def test_dense_mixture_needs_few_rounds_per_discovery(self, monkeypatch, levels):
+    @pytest.mark.parametrize("rule", ["lord", "lond"])
+    def test_acceptances_at_lambda_1_walk_nothing(self, rule):
+        # 1.0, then lambda_1 repeated: every lord level past the first is
+        # below lambda_1, so one round settles nothing and ends the rounds.
+        n, sched = 10**5, SCHEDULES["power"]
+        counts, hits = core_counts(rule, [1.0] + [sched.lambda_at(1)] * (n - 1))
+        assert hits.size == 0 and counts["walked"] == 0 and counts["rounds"] <= 1
+
+    @pytest.mark.parametrize("rule", ["lord", "lond"])
+    def test_dense_mixture_reaches_its_fixpoint(self, rule):
         config = MixtureConfig(n=10**5, beta=0.2, r=0.6, seed=0, reps=1)
         p = pvalue(GGKernel(2.0), make_mixture(config, 0).statistics)
-        walked = count_walked(monkeypatch)
-        _, rejected = levels(p, SCHEDULES["power"])
-        assert int(rejected.sum()) > 3000
-        assert len(walked) == 1 and walked[0] < p.size / 5
+        counts, hits = core_counts(rule, p)
+        assert hits.size > 3000
+        assert counts["walked"] == 0 and counts["rounds"] <= 12
 
-    def test_lord_chain_walks_every_position(self, monkeypatch):
-        sched = SCHEDULES["power"]
-        walked = count_walked(monkeypatch)
-        _, rejected = lord_levels(np.full(10**4, sched.lambda_at(1)), sched)
-        assert rejected.all()
-        assert walked == [10**4]
+    @pytest.mark.parametrize("rule", ["lord", "lond"])
+    def test_near_dense_mixture_reaches_its_fixpoint(self, rule):
+        # The first round settles only the smallest P-values, a few hundred
+        # of the ~9e4 candidates, spread along the stream; each lets its
+        # neighbours settle in the next round, so the rounds grow and go on.
+        config = MixtureConfig(n=10**5, beta=0.01, r=0.8, gamma=1.0, seed=0, reps=1)
+        p = pvalue(GGKernel(1.0), make_mixture(config, 0).statistics)
+        counts, hits = core_counts(rule, p)
+        assert hits.size > 50000 and counts["walked"] == 0
+
+    @pytest.mark.parametrize("rule", ["lord", "lond"])
+    @pytest.mark.parametrize("family", sorted(COST_CHAINS))
+    def test_chains_stop_after_one_round(self, family, rule):
+        # A chain settles one link per round: the rounds stop at once, and
+        # the walk takes the rest from the first open link.
+        n = 10**5
+        kind, options = COST_CHAINS[family]
+        counts, hits = core_counts(rule, chain(kind, SCHEDULES["power"], n, **options))
+        assert counts["rounds"] <= 1
+        if kind == rule:
+            assert hits.size == n and counts["walked"] >= n - 401
 
 
 def rederive_far(engine, p, start, far, head):
