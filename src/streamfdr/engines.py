@@ -297,17 +297,12 @@ def _rejected(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None,
     ``positions`` are increasing, distinct 0-based positions and
     ``values`` their P-values; every other position must hold a P-value
     above every level the rule can give it; ``None`` stands for every
-    position. The rule's bound picks the candidates (``_candidates``) and
-    the rounds and the walk decide them (``_walked``, which also takes
-    ``stats``).
+    position. The rule's bound picks the candidates, and the rounds and
+    the walk decide them (``_walked``, which also takes ``stats``).
     """
-    return _walked(rule, lam, *_candidates(rule, lam, values, positions), stats)
-
-
-def _candidates(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None):
-    """The positions a rule may reject and their P-values; arguments as in ``_rejected``."""
     candidates = np.flatnonzero(rule.bound(values, lam, positions))
-    return (candidates if positions is None else positions[candidates]), values[candidates]
+    at = candidates if positions is None else positions[candidates]
+    return _walked(rule, lam, at, values[candidates], stats)
 
 
 def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray,

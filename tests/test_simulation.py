@@ -472,15 +472,43 @@ class TestThreads:
             data.append((tmp_path / f"{k}.csv").read_bytes())
         assert data[0] == data[1] == data[2]
 
-    def test_rows_equal_when_a_grid_runs_in_batches(self, monkeypatch):
+    def test_memory_budget_holds_the_pool_below_the_usable_cpus(self, monkeypatch):
         base = small_config(beta=0.4, reps=3)
         usable_cpus(monkeypatch, 1)
         want = run_grid(base, [0.5, 1.1], [1000, 3000])
-        # Three units of the largest n fit in a batch: the 12 units run in four.
-        monkeypatch.setattr(simulation, "_POOL_BYTES", 3 * simulation._UNIT_BYTES_PER_N * 3000)
-        assert simulation._fit(3000) == 3
-        usable_cpus(monkeypatch, 2)
+        # Two units of the largest n fit in the budget: three CPUs, two threads.
+        monkeypatch.setattr(simulation, "_POOL_BYTES", 2 * simulation._UNIT_BYTES_PER_N * 3000)
+        usable_cpus(monkeypatch, 3)
+        sizes = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                sizes.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
         assert run_grid(base, [0.5, 1.1], [1000, 3000]) == want
+        assert sizes == [2]
+
+    def test_rows_and_csv_bytes_equal_for_every_thread_count_when_lord_walks(self, tmp_path,
+                                                                           monkeypatch):
+        # A near-dense gamma = 1 grid whose lord rounds stop early and walk the rest.
+        base = small_config(n=20_000, beta=0.01, gamma=1.0, seed=0, reps=2)
+        sink = {}
+        original = simulation._rejected
+        monkeypatch.setattr(simulation, "_rejected", lambda *args: original(*args, stats=sink))
+        usable_cpus(monkeypatch, 1)
+        run_grid(base, [0.5, 1.1], [base.n])
+        assert sink["lord"]["walked"] >= 1
+        monkeypatch.setattr(simulation, "_rejected", original)
+        grids, data = [], []
+        for cpus in (1, 2, 3):
+            usable_cpus(monkeypatch, cpus)
+            grids.append(run_grid(base, [0.5, 1.1], [base.n]))
+            write_csv(grids[-1], tmp_path / f"{cpus}.csv")
+            data.append((tmp_path / f"{cpus}.csv").read_bytes())
+        assert grids[0] == grids[1] == grids[2]
+        assert data[0] == data[1] == data[2]
 
     def test_cell_records_equal_for_every_thread_count(self, monkeypatch):
         config = small_config(beta=0.3, reps=5)
@@ -555,7 +583,7 @@ class TestThreads:
         cell = simulation._cell(small_config(n=n, reps=1, **overrides), simulation.PROCEDURES)
         tracemalloc.start()
         try:
-            simulation._records(cell, 0, simulation._draw(cell, 0))
+            simulation._unit(cell, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
