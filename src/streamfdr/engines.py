@@ -11,13 +11,23 @@ while the index stays in the window of values read last. ``bh_reject``
 is the classic static step-up rule over a complete P-value vector, used
 as a non-sequential baseline.
 
-``run_stream`` and the ``*_levels`` array forms compute exactly what
-folding the step functions would, through one core shared by both
-rules and by the simulation cells. A rule (``_Rule``) is a few small
-functions: a bound on every level the rule can give a position, a
-round's comparisons, the state that settled rejections leave, a walk
-with the step's own expression, and the levels that a set of
-rejections implies.
+``run_stream``, the ``*_levels`` array forms and a stream state's
+``_decide`` (one block of a stream, as ``streamfdr stream`` decides it)
+compute exactly what folding the step functions would, through one core
+shared by both rules and by the simulation cells. The core starts from
+any carried state: the stream index of its first value and the rule's
+state before it. The array forms pass the fresh state. A rule
+(``_Rule``) is a few small functions: a bound on every level the rule
+can give a position, a round's comparisons, the state that settled
+rejections leave, a walk with the step's own expression, and the
+levels of a block from a carried state.
+
+Lond reads the block's own lambda_{s+1} .. lambda_e and runs the core
+from ``D + 1``. Lord's state before the block's first rejection is the
+carried one, so one compare with the carried slice lambda_{s+1-t} ..
+lambda_{e-t} finds that rejection; the rest of the block is a lord run
+from a fresh state over lambda_1 ... So no call reads the schedule from
+lambda_1 to a far index.
 
 The core takes the positions it may reject from, with their P-values,
 and returns the rejected ones; the array forms give it every position
@@ -25,7 +35,8 @@ and returns the rejected ones; the array forms give it every position
 It finds the candidates, the positions whose P-value is at or below the
 largest level any past could give there: the largest schedule value
 for lord (lambda_1 when the schedule does not increase),
-``lambda_i * i`` for lond (``D <= i - 1``, multiplying a float by an
+``lambda_i * (D + 1 + k)`` at block position k for lond (at most k
+discoveries come before it in the block, multiplying a float by an
 exact integer is monotone, and lambda >= 0). Only a candidate can
 reject, and a rule's state (last discovery ``t``, discovery count ``D``)
 changes only at a rejection. A position left out must therefore hold a
@@ -37,17 +48,17 @@ later last discovery reads the schedule nearer lambda_1, which is no
 smaller since a schedule does not increase (lord needs this); a larger
 count multiplies lambda_i by a larger whole number, which is no smaller
 in floats too (lond). So the core decides the candidates in rounds
-(``_walked``). It starts with no rejection settled. Each round gives
-every open candidate the level that the settled rejections imply and
-settles those at or below it: the true state holds at least those
-rejections, so its level is no lower, and by induction every settled
-candidate is a true rejection. A candidate above the level it would
-have were every open candidate before it rejected is an acceptance.
-A round that settles nothing has found every rejection, as the first
-one missed would have had its exact state and been settled. When the
-rounds stop short of that, the step's own float expressions walk the
-candidates from the first one left open, from its exact state, since
-every candidate before it is decided.
+(``_walked``). It starts with no rejection of the block settled. Each
+round gives every open candidate the level that the settled rejections
+imply and settles those at or below it: the true state holds at least
+those rejections, so its level is no lower, and by induction every
+settled candidate is a true rejection. A candidate above the level it
+would have were every open candidate before it rejected is an
+acceptance. A round that settles nothing has found every rejection, as
+the first one missed would have had its exact state and been settled.
+When the rounds stop short of that, the step's own float expressions
+walk the candidates from the first one left open, from its exact state,
+since every candidate before it is decided.
 
 So the cost is a few vectorized passes per round over the open
 candidates, plus one Python iteration (about 0.1-0.3 us) per walked
@@ -91,6 +102,18 @@ class LordState(_ChunkCursor):
     next_index: int = 1
     last_discovery: int = 0
 
+    def _decide(self, schedule, p: np.ndarray):
+        """``(alpha, rejected)`` of the validated block ``p`` from this state, which then moves past it.
+
+        The same as folding ``lord_step`` over the block, through the core.
+        """
+        i = self.next_index
+        alpha, rejected = _lord_levels(p, schedule, i, self.last_discovery)
+        if rejected.any():
+            self.last_discovery = i + p.size - 1 - int(rejected[::-1].argmax())
+        self.next_index = i + p.size
+        return alpha, rejected
+
 
 @dataclass
 class LondState(_ChunkCursor):
@@ -98,6 +121,16 @@ class LondState(_ChunkCursor):
 
     next_index: int = 1
     discoveries: int = 0
+
+    def _decide(self, schedule, p: np.ndarray):
+        """``(alpha, rejected)`` of the validated block ``p`` from this state, which then moves past it.
+
+        The same as folding ``lond_step`` over the block, through the core.
+        """
+        alpha, rejected = _lond_levels(p, schedule, self.next_index, self.discoveries)
+        self.discoveries += int(np.count_nonzero(rejected))
+        self.next_index += p.size
+        return alpha, rejected
 
 
 class Decision(NamedTuple):
@@ -166,12 +199,13 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
     return Decision(i, alpha, p, rejected)
 
 
-def _lord_bound(values: np.ndarray, lam: np.ndarray, positions) -> np.ndarray:
+def _lord_bound(values: np.ndarray, lam: np.ndarray, *_) -> np.ndarray:
     """Candidates of lord: every level is some lambda_j, so at most the largest.
 
-    This holds for any schedule. The rounds of ``_walked`` need more: a
-    schedule that does not increase, as ``LambdaSchedule`` defines one,
-    so that a later last discovery never lowers a level.
+    This holds for any schedule, position and start state. The rounds of
+    ``_walked`` need more: a schedule that does not increase, as
+    ``LambdaSchedule`` defines one, so that a later last discovery never
+    lowers a level.
     """
     return values <= lam.max(initial=0.0)
 
@@ -209,20 +243,53 @@ def _lord_walk(lam: memoryview, positions: list, values: list, t: int) -> list:
     return hits
 
 
-def _lord_levels(lam: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Levels ``lambda_{i - t}``: each run reads the schedule from lambda_1 again."""
-    offset = np.arange(lam.size)
-    offset -= np.repeat(np.cumsum(runs) - runs, runs)
-    return lam.take(offset)
+def _lord_levels(p: np.ndarray, schedule, index: int = 1, t: int = 0):
+    """``(alpha, rejected)`` of lord on validated P-values of indices ``index`` on, from last discovery ``t``.
+
+    Before the first rejection the state is the carried one, so the
+    levels are the carried slice lambda_{index - t} .. and the first
+    P-value at or below it is the first rejection, found in one compare.
+    After it comes a fresh lord run over lambda_1 .., a view of the
+    carried slice when that starts at lambda_1 (``t = index - 1``, or a
+    fresh state); no call reads from lambda_1 to a far index. Each run of
+    positions between rejections reads the schedule from lambda_1 again:
+    a rest without a rejection is one copy of its slice, and only one
+    with rejections is gathered.
+    """
+    n = p.size
+    lam = schedule.slice(index - t, index - t + n)
+    alpha, rejected = lam.copy(), p <= lam
+    if not rejected.any():
+        return alpha, rejected
+    skip = int(rejected.argmax()) + 1  # the positions up to the first rejection
+    rejected[skip:] = False
+    rest = p[skip:]
+    if rest.size:
+        head = lam[:rest.size] if index - t == 1 else schedule.slice(1, rest.size + 1)
+        hits = _rejected(_RULES["lord"], head, rest)
+        if hits.size:
+            rejected[hits + skip] = True
+            after = hits + 1
+            runs = np.diff(after[after < rest.size], prepend=0, append=rest.size)
+            offset = np.arange(rest.size)
+            offset -= np.repeat(np.cumsum(runs) - runs, runs)
+            head = head.take(offset)
+        alpha[skip:] = head
+    return alpha, rejected
 
 
-def _lond_bound(values: np.ndarray, lam: np.ndarray, positions) -> np.ndarray:
-    """Candidates of lond: with ``D <= i - 1`` every level is at most ``lambda_i * i``."""
+def _lond_bound(values: np.ndarray, lam: np.ndarray, positions, d) -> np.ndarray:
+    """Candidates of lond from ``d`` (1 + the discovery count before position 0).
+
+    With at most k discoveries before position k, every level there is at
+    most ``lambda_i * (d + k)``; multiplying a float by a larger whole
+    number gives no smaller a float.
+    """
     if positions is None:
-        at, i = lam, np.arange(1.0, lam.size + 1.0)
+        at, count = lam, np.arange(d, d + lam.size, dtype=np.float64)
     else:
-        at, i = lam.take(positions), positions + 1.0
-    return values <= np.multiply(at, i, out=i)
+        at, count = lam.take(positions), positions + float(d)
+    return values <= np.multiply(at, count, out=count)
 
 
 def _lond_round(lam: np.ndarray, positions: np.ndarray, values: np.ndarray, d):
@@ -259,15 +326,35 @@ def _lond_walk(lam: memoryview, positions: list, values: list, d: int) -> list:
     return hits
 
 
-def _lond_levels(lam: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Levels ``min(1, lambda_i (D + 1))``: ``D + 1`` counts the runs so far."""
-    alpha = np.repeat(np.arange(1.0, runs.size + 1.0), runs)
+def _lond_levels(p: np.ndarray, schedule, index: int = 1, discoveries: int = 0):
+    """``(alpha, rejected)`` of lond on validated P-values of indices ``index`` on, from ``discoveries``.
+
+    The core runs over lambda_index .. of the block from ``d = D + 1``;
+    the levels are ``min(1, lambda_i (d + c))`` with c the block's
+    rejections before position i.
+    """
+    n = p.size
+    lam = schedule.slice(index, index + n)
+    d = discoveries + 1
+    hits = _rejected(_RULES["lond"], lam, p, state=d)
+    rejected = np.zeros(n, dtype=bool)
+    rejected[hits] = True
+    after = hits + 1
+    runs = np.diff(after[after < n], prepend=0, append=n)  # each run shares d + c
+    alpha = np.repeat(np.arange(d, d + runs.size, dtype=np.float64), runs)
     np.multiply(alpha, lam, out=alpha)
-    return np.minimum(alpha, 1.0, out=alpha)
+    return np.minimum(alpha, 1.0, out=alpha), rejected
 
 
 class _Rule(NamedTuple):
-    """A streaming rule as the core runs it; ``fresh`` is its state before any discovery."""
+    """A streaming rule as the core runs it; ``fresh`` is the core's state before any discovery.
+
+    ``levels(p, schedule, index, carried)`` decides a validated block
+    whose first value has stream index ``index``, from the rule's state
+    before it as the step state holds it (``carried``: lord's last
+    discovery, lond's discovery count; both 0 when fresh), and returns
+    ``(alpha, rejected)``.
+    """
 
     name: str
     bound: Callable
@@ -290,22 +377,27 @@ _WALK_COST = 4
 
 
 def _rejected(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None,
-              stats=None) -> np.ndarray:
+              state=None, stats=None) -> np.ndarray:
     """Rejected positions of a stream of ``lam.size`` P-values, from those it may reject.
 
-    ``rule`` is one of ``_RULES``; ``lam`` holds lambda_1 .. lambda_n.
+    ``rule`` is one of ``_RULES``; ``lam`` holds the schedule values the
+    core reads: lambda_1 .. lambda_n for lord, the block's own for lond.
     ``positions`` are increasing, distinct 0-based positions and
     ``values`` their P-values; every other position must hold a P-value
     above every level the rule can give it; ``None`` stands for every
-    position. The rule's bound picks the candidates, and the rounds and
-    the walk decide them (``_walked``, which also takes ``stats``).
+    position. ``state`` is the core's state before position 0 (lord: the
+    last discovery, 1-based, on ``lam``'s clock; lond: 1 + the discovery
+    count), ``rule.fresh`` when ``None``. The rule's bound picks the
+    candidates, and the rounds and the walk decide them (``_walked``,
+    which also takes ``stats``).
     """
-    candidates = np.flatnonzero(rule.bound(values, lam, positions))
+    state = rule.fresh if state is None else state
+    candidates = np.flatnonzero(rule.bound(values, lam, positions, state))
     at = candidates if positions is None else positions[candidates]
-    return _walked(rule, lam, at, values[candidates], stats)
+    return _walked(rule, lam, at, values[candidates], state, stats)
 
 
-def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray,
+def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray, state,
             stats=None) -> np.ndarray:
     """Rejected positions among a rule's candidates, in order: rounds, then a walk if need be.
 
@@ -344,7 +436,7 @@ def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndar
     """
     n = positions.size
     rejected = np.zeros(n, dtype=bool)  # settled, by candidate
-    index, open_, x, state = None, positions, values, rule.fresh  # index None: every candidate
+    index, open_, x = None, positions, values  # index None: every candidate
     rounds, start, decided = 0, n, None  # the walk takes the candidates from start on
     while open_.size:
         rounds += 1
@@ -381,29 +473,13 @@ def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndar
     return hits
 
 
-def _levels(p: np.ndarray, schedule, rule):
-    """``(alpha, rejected)`` of a rule on a validated array, from the core on every position.
-
-    The rule's ``levels`` gets the lengths of the runs of positions that
-    share a state: the first run starts the stream, and a new one starts
-    right after each rejection inside it.
-    """
-    n = p.size
-    lam = schedule.slice(1, n + 1)
-    hits = _rejected(rule, lam, p)
-    rejected = np.zeros(n, dtype=bool)
-    rejected[hits] = True
-    after = hits + 1
-    return rule.levels(lam, np.diff(after[after < n], prepend=0, append=n)), rejected
-
-
 def lord_levels(pvalues, schedule: LambdaSchedule):
     """Vectorized one-pass run of the recent-discovery rule.
 
     Returns ``(alpha, rejected)`` arrays bit-identical to folding
     ``lord_step`` over the stream.
     """
-    return _levels(_check_p_array(pvalues), schedule, _RULES["lord"])
+    return _lord_levels(_check_p_array(pvalues), schedule)
 
 
 def lond_levels(pvalues, schedule: LambdaSchedule):
@@ -412,7 +488,7 @@ def lond_levels(pvalues, schedule: LambdaSchedule):
     Returns ``(alpha, rejected)`` arrays bit-identical to folding
     ``lond_step`` over the stream.
     """
-    return _levels(_check_p_array(pvalues), schedule, _RULES["lond"])
+    return _lond_levels(_check_p_array(pvalues), schedule)
 
 
 def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]:
@@ -427,7 +503,7 @@ def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]
     except (KeyError, AttributeError):
         raise ValueError(f"engine must be one of {sorted(_RULES)}, got {engine!r}") from None
     p = _check_p_array(pvalues)
-    alpha, rejected = _levels(p, schedule, rule)
+    alpha, rejected = rule.levels(p, schedule)
     return list(map(Decision, range(1, p.size + 1), alpha.tolist(), p.tolist(), rejected.tolist()))
 
 

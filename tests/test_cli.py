@@ -385,10 +385,11 @@ class Recorder(io.StringIO):
         super().flush()
 
 
-def stream_chunks(chunks, errors="strict"):
+def stream_chunks(chunks, errors="strict", procedure="lond", nu=2.0, adaptive=False):
     """Exit code, recorded stdout and stderr of ``cmd_stream`` over ``arrivals(chunks, errors)``."""
     stdout, stderr = Recorder(), io.StringIO()
-    code = cmd_stream("lond", 0.1, 2.0, False, stdin=arrivals(chunks, errors), stdout=stdout, stderr=stderr)
+    code = cmd_stream(procedure, 0.1, nu, adaptive, stdin=arrivals(chunks, errors), stdout=stdout,
+                      stderr=stderr)
     return code, stdout, stderr.getvalue()
 
 
@@ -397,6 +398,11 @@ def stream_text(text):
     stdout, stderr = io.StringIO(), io.StringIO()
     cmd_stream("lond", 0.1, 2.0, False, stdin=arrivals([text.encode()]), stdout=stdout, stderr=stderr)
     return stdout.getvalue()
+
+
+# A few thousand P-values, a tenth of them small enough to reject.
+RNG_LINES = np.where(np.random.default_rng(9).random(3000) < 0.1, 1e-6,
+                     np.random.default_rng(10).random(3000)).tolist()
 
 
 class TestStreamBlocks:
@@ -439,6 +445,47 @@ class TestStreamBlocks:
         monkeypatch.setattr(cli, "lond_step", counted)
         assert stream_text("0.5\n0.01\n0.3\n").endswith(" n=3\n")
         assert calls == [0.5, 0.01, 0.3]
+
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_block_at_the_crossover_skips_the_step(self, procedure, monkeypatch):
+        def patched(state, schedule, p):
+            raise AssertionError("the step ran")
+
+        monkeypatch.setattr(cli, f"{procedure}_step", patched)
+        lines = b"".join(b"%r\n" % x for x in RNG_LINES[:cli._CORE_LINES])
+        code, stdout, _ = stream_chunks([lines], procedure=procedure)
+        assert code == EXIT_OK and stdout.getvalue().endswith(f" n={cli._CORE_LINES}\n")
+
+    @pytest.mark.parametrize("nu, adaptive", [(1.05, False), (None, True)])
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_one_large_block_gives_the_bytes_of_line_at_a_time(self, procedure, nu, adaptive):
+        lines = [b"%r\n" % x for x in RNG_LINES]
+        options = {"procedure": procedure, "nu": nu, "adaptive": adaptive}
+        code, stdout, _ = stream_chunks([b"".join(lines)], **options)
+        assert code == EXIT_OK and stdout.writes[0].count("\n") == len(lines)
+        assert (code, stdout.getvalue()) == (EXIT_OK, stream_chunks(lines, **options)[1].getvalue())
+        assert stdout.getvalue().count("REJECT") > 50  # the state moves inside the block
+
+    @pytest.mark.parametrize("bad", [b"1.5", b"nan", b"\xff\xfe"])
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_bad_line_in_a_large_block(self, procedure, bad):
+        lines = [b"%r\n" % x for x in RNG_LINES]
+        for k in (0, cli._CORE_LINES - 1, cli._CORE_LINES, len(lines) - 1):
+            code, stdout, err = stream_chunks([b"".join(lines[:k] + [bad + b"\n"] + lines[k + 1:])],
+                                              procedure=procedure)
+            before = stream_chunks(lines[:k], procedure=procedure)[1].getvalue()
+            assert code == EXIT_STREAM and err == f"# error line {k + 1}\n"
+            assert stdout.writes == [before.rsplit("#", 1)[0]] and stdout.flushes == 1
+
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_negative_zero_in_a_large_block(self, procedure):
+        lines = [b"%r\n" % x for x in RNG_LINES]
+        zero = lines.copy()
+        for k in (0, 100, len(lines) - 1):
+            lines[k], zero[k] = b"-0.0\n", b"0.0\n"
+        code, stdout, _ = stream_chunks([b"".join(lines)], procedure=procedure)
+        assert (code, stdout.getvalue()) == (EXIT_OK, stream_chunks(zero, procedure=procedure)[1].getvalue())
+        assert stdout.getvalue().splitlines()[100].split()[2] == "0.0"
 
 
 def read_line(stream, timeout=20.0):

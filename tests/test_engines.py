@@ -1,5 +1,6 @@
 """Engine tests: hand traces, fold equivalence, brute-force baselines."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfdr import engines, simulation
+from streamfdr import cli, engines, simulation
 from streamfdr import (
     Decision,
     GGKernel,
@@ -664,6 +665,128 @@ class TestFarIndices:
             assert [d.alpha for d in decisions] == want_alpha, engine
             assert [d.rejected for d in decisions] == want_rejected, engine
             assert not any(want_rejected[:calm]) and want_rejected[calm], engine
+
+
+STEPS = ((LordState, lord_step), (LondState, lond_step))
+
+# Block lengths around the stream command's crossover from the steps to
+# the core, and about one 64 KB read of the benchmark's stream file.
+BLOCK_LENGTHS = [1, 2, cli._CORE_LINES - 1, cli._CORE_LINES, cli._CORE_LINES + 1, 3000]
+
+
+def carried(state_type, start, state):
+    """A stream state before index ``start`` with rule state ``state`` (last discovery or count)."""
+    field = "last_discovery" if state_type is LordState else "discoveries"
+    return state_type(next_index=start, **{field: state})
+
+
+def assert_blocks_match_fold(p, sched, seams, start=1, state=0):
+    """Both rules' blocks, cut at ``seams``, give the bits of the step fold.
+
+    Each block is decided from the state that the blocks before it
+    carried, and the state after the last block equals the fold's.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    for state_type, step in STEPS:
+        folded, blocked = carried(state_type, start, state), carried(state_type, start, state)
+        decisions = [step(folded, sched, x) for x in p]
+        alpha, rejected = [], []
+        for block in np.split(p, seams):
+            a, r = blocked._decide(sched, block)
+            alpha += a.tolist()
+            rejected += r.tolist()
+        assert alpha == [d.alpha for d in decisions], state_type.__name__
+        assert rejected == [d.rejected for d in decisions], state_type.__name__
+        assert blocked == folded, state_type.__name__
+
+
+@functools.lru_cache(maxsize=None)
+def block_streams(name, n):
+    """Named streams of n values for the block tests: chains, dense, all zero and all one."""
+    sched = SCHEDULES[name]
+    rng = np.random.default_rng(n)
+    streams = {f"{rule} chain {family}": chain(rule, sched, n, **CHAIN_FAMILIES[family])
+               for rule in ("lord", "lond") for family in ("exact ties", "between dense blocks")}
+    streams["dense"] = rng.random(n) ** 6
+    streams["zeros"] = np.zeros(n)
+    streams["ones"] = np.ones(n)
+    return streams
+
+
+@st.composite
+def carried_streams(draw):
+    """A schedule, a stream, random seams and a carried start (index and rule state)."""
+    sched, p = draw(adversarial_streams())
+    seams = sorted(draw(st.lists(st.integers(0, len(p)), max_size=8)))
+    start = draw(st.sampled_from([1, 2, 1000, 2 * 10**7]))
+    return sched, p, seams, start, draw(st.integers(0, start - 1))
+
+
+class TestCarriedState:
+    """A stream's blocks decided through the core from the state the blocks before them carried."""
+
+    @given(carried_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_random_seams_match_fold(self, case):
+        sched, p, seams, start, state = case
+        assert_blocks_match_fold(p, sched, seams, start, state)
+
+    @pytest.mark.parametrize("start, state", [(1, 0), (2 * 10**7, 0), (2 * 10**7, 2 * 10**7 - 40)])
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_block_lengths_match_fold(self, name, length, start, state):
+        # The chains cross every seam; a lord state 40 back reads lambda_41 on.
+        n = max(300, 2 * length + 50)
+        for stream in block_streams(name, n).values():
+            assert_blocks_match_fold(stream, SCHEDULES[name], np.arange(length, n, length), start, state)
+
+    @pytest.mark.parametrize("start, state", [(1, 0), (500, 0), (500, 499), (500, 200), (2 * 10**7, 7)])
+    @pytest.mark.parametrize("name", BELOW_ONE)
+    def test_ties_with_the_carried_level(self, name, start, state):
+        # A block that opens with a tie at its carried level, and one whose
+        # only rejection is a tie at its last value (for lord, the first
+        # rejection is the block's last value, with nothing after it). The
+        # other values are 1.0, which no level reaches.
+        sched = SCHEDULES[name]
+        for state_type, step in STEPS:
+            for length in BLOCK_LENGTHS[1:]:
+                fold = carried(state_type, start, state)
+                levels = [step(fold, sched, 1.0).alpha for _ in range(length)]  # no rejection
+                first, last = np.ones(length), np.ones(length)
+                first[0], last[-1] = levels[0], levels[-1]
+                rejected = carried(state_type, start, state)._decide(sched, first)[1]
+                assert rejected[0]
+                rejected = carried(state_type, start, state)._decide(sched, last)[1]
+                assert rejected.tolist() == [False] * (length - 1) + [True]
+                for p in (first, last):
+                    assert_blocks_match_fold(p, sched, [length // 2], start, state)
+                    assert_blocks_match_fold(p, sched, [], start, state)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_constant_blocks_after_a_chain(self, name):
+        # All-zero and all-one blocks between chain blocks: each block starts
+        # from the state the one before it left.
+        sched = SCHEDULES[name]
+        p = np.concatenate([chain("lord", sched, 100), np.zeros(50), chain("lond", sched, 100),
+                            np.ones(50), np.zeros(1), np.ones(3000)])
+        seams = np.cumsum([100, 50, 37, 63, 50, 1])
+        assert_blocks_match_fold(p, sched, seams)
+        assert_blocks_match_fold(p, sched, seams, 2 * 10**7, 2 * 10**7 - 1)
+
+    def test_far_blocks_read_no_prefix_to_the_far_index(self):
+        class Recording(GeometricSchedule):
+            reads = []
+
+            def slice(self, lo, hi):
+                self.reads.append((lo, hi))
+                return super().slice(lo, hi)
+
+        sched, start = Recording(), 2 * 10**7
+        p = np.concatenate([np.ones(100), [0.0], np.ones(100)])
+        for state_type, _ in STEPS:
+            Recording.reads.clear()
+            carried(state_type, start, 0)._decide(sched, p)
+            assert all(hi - lo <= p.size for lo, hi in Recording.reads), Recording.reads
 
 
 class TestBH:
