@@ -28,10 +28,10 @@ def run_python(code, stdin=""):
     )
 
 
-def stream(procedure):
+def stream(procedure, *flags):
     return (
         "from streamfdr.cli import main\n"
-        f"assert main(['stream', '--procedure', {procedure!r}, '--adaptive']) == 0\n"
+        f"assert main(['stream', '--procedure', {procedure!r}, *{flags!r}]) == 0\n"
     )
 
 
@@ -40,20 +40,29 @@ def stream(procedure):
     [
         ("import streamfdr", "", False),
         ("import streamfdr.cli", "", False),
-        (stream("lond"), PVALUES, False),
+        (stream("lond", "--adaptive"), PVALUES, False),
+        (stream("lord", "--adaptive"), PVALUES, False),
         (stream("lord"), PVALUES, False),
         ("from streamfdr.cli import main\n"
          "assert main(['schedule', '--adaptive', '--head', '3']) == 0", "", False),
+        ("from streamfdr.cli import main\n"
+         "assert main(['schedule', '--head', '3']) == 0", "", False),
+        ("from streamfdr import make_power_schedule; make_power_schedule(1.05, 0.1)", "", False),
         # gamma = 1 P-values are one exp, and no quantile cut is taken for them.
         ("from streamfdr import MixtureConfig, run_cell\n"
          "config = MixtureConfig(n=2000, beta=0.5, r=0.8, gamma=1.0, schedule='adaptive', reps=2)\n"
          "assert all(run_cell(config, proc) for proc in ('lord', 'lond', 'bh'))", "", False),
-        # Controls: the probe sees scipy where a value needs it.
-        ("from streamfdr import make_power_schedule; make_power_schedule(1.05, 0.1)", "", True),
+        ("from streamfdr import MixtureConfig, run_cell\n"
+         "config = MixtureConfig(n=2000, beta=0.5, r=0.8, gamma=1.0, nu=1.05, reps=2)\n"
+         "assert all(run_cell(config, proc) for proc in ('lord', 'lond', 'bh'))", "", False),
+        # Controls: the probe sees scipy where a value needs it. zeta on a
+        # non-integer nu in (10, 50] is scipy's own.
+        ("from streamfdr import make_power_schedule; make_power_schedule(12.5, 0.1)", "", True),
         ("from streamfdr import GGKernel, pvalue; pvalue(GGKernel(2.0), 1.0)", "", True),
     ],
-    ids=["import", "import-cli", "stream-lond-adaptive", "stream-lord-adaptive",
-         "schedule-adaptive", "cell-gamma-1-adaptive", "power-schedule", "pvalue"],
+    ids=["import", "import-cli", "stream-lond-adaptive", "stream-lord-adaptive", "stream-lord-power",
+         "schedule-adaptive", "schedule-power", "power-schedule", "cell-gamma-1-adaptive",
+         "cell-gamma-1-power", "power-schedule-nu-12.5", "pvalue"],
 )
 def test_scipy_loaded_only_where_needed(code, stdin, loaded):
     result = run_python(code + SCIPY_LOADED, stdin)
@@ -69,25 +78,15 @@ def test_cli_import_loads_no_thread_pool():
 
 
 @pytest.mark.parametrize("procedure", ["lord", "lond"])
-def test_adaptive_stream_runs_with_scipy_blocked(procedure):
+@pytest.mark.parametrize("flags, discoveries", [(("--adaptive",), 2), ((), 1)],
+                         ids=["adaptive", "power"])
+def test_stream_runs_with_scipy_blocked(procedure, flags, discoveries):
     # A None entry in sys.modules makes every scipy import raise ImportError.
-    blocked = run_python("sys.modules['scipy'] = None\n" + stream(procedure), PVALUES)
-    free = run_python(stream(procedure), PVALUES)
+    blocked = run_python("sys.modules['scipy'] = None\n" + stream(procedure, *flags), PVALUES)
+    free = run_python(stream(procedure, *flags), PVALUES)
     assert blocked.returncode == free.returncode == 0, blocked.stderr + free.stderr
     assert blocked.stdout == free.stdout
-    assert free.stdout.splitlines()[-1] == "# discoveries=2 n=5"
-
-
-def test_power_stream_needs_scipy():
-    # Control for the block above: the power schedule does import scipy.
-    code = (
-        "sys.modules['scipy'] = None\n"
-        "from streamfdr.cli import main\n"
-        "main(['stream', '--procedure', 'lord'])\n"
-    )
-    result = run_python(code, PVALUES)
-    assert result.returncode != 0
-    assert "import of scipy halted" in result.stderr
+    assert free.stdout.splitlines()[-1] == f"# discoveries={discoveries} n=5"
 
 
 X = [-40.0, -3.5, -1e-3, -0.0, 0.0, 1e-300, 0.7, 2.0, 9.0, 38.0]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from streamfdr import (LambdaSchedule, LondState, LordState, MixtureConfig, lond_levels, lond_step,
                        lord_levels, lord_step, make_adaptive_schedule, make_power_schedule, run_grid,
@@ -142,6 +143,45 @@ class TestPowerSchedule:
             assert np.all(head > 0)
             assert np.all(np.diff(head) <= 0)
             assert float(head.sum()) < q
+
+
+def zeta_mismatches(nus):
+    """The nu whose ``_zeta`` bits differ from ``scipy.special.zeta``'s, with both hexes."""
+    nus = np.asarray(nus, dtype=np.float64)
+    want = [float(z).hex() for z in special.zeta(nus)]
+    return [(float(nu), got, expected) for nu, expected in zip(nus.tolist(), want)
+            if (got := schedules._zeta(nu).hex()) != expected]
+
+
+class TestZeta:
+    """``schedules._zeta`` gives the bits of its oracle, ``scipy.special.zeta``."""
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 10.0), (10.0, 50.0), (50.0, 130.0)],
+                             ids=["rational", "scipy-range", "odd-sum"])
+    def test_seeded_sweep(self, lo, hi):
+        nus = lo + (hi - lo) * (1.0 - np.random.default_rng(int(hi)).random(20000))  # in (lo, hi]
+        assert zeta_mismatches(nus) == []
+
+    def test_just_above_one(self):
+        nus = [1.0 + 2.0**-52, 1.0 + 1e-15, 1.0 + 1e-12, *(1.0 + 10.0**np.linspace(-8.0, 0.0, 401))]
+        assert zeta_mismatches(nus) == []
+
+    def test_every_integer_to_fifty(self):
+        assert zeta_mismatches(np.arange(2.0, 51.0)) == []
+
+    def test_branch_edges(self):
+        edges = [10.0, 30.0, 50.0, 127.0]
+        nus = [*edges, *np.nextafter(edges, 0.0), *np.nextafter(edges, math.inf), 30.5, 126.9]
+        assert zeta_mismatches(nus) == []
+
+    def test_far_exponents(self):
+        assert zeta_mismatches([127.0, 1e6, math.inf]) == []
+        # zeta(inf) is 1, not a 0/0, so lambda_1 takes the whole budget.
+        assert schedules._zeta(math.inf) == 1.0
+        assert make_power_schedule(math.inf, 0.1).normalizer == 0.1
+
+    def test_normalizer_is_q_over_scipy_zeta(self):
+        assert make_power_schedule(1.05, 0.1).normalizer == 0.1 / special.zeta(1.05)
 
 
 class TestAdaptiveSchedule:
