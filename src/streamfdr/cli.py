@@ -8,7 +8,11 @@ the command waits for more input, and a bad line aborts immediately
 lines that have arrived are taken as one block: its good prefix is
 decided through the engines' shared core from the stream's carried
 state when it is long enough to pay for the call, and by folding the
-rule's step over it when it is short, as a line typed at a time is.
+rule's step over it when it is short, as a line typed at a time is. A
+block of ``_FORMAT_LINES`` lines or more is then written by one
+vectorized pass whose bytes equal ``repr``'s (``_format_block``, with
+the shortest digits from ``_decimal``); a shorter block, or one holding
+a subnormal level or P-value, is written line by line with the f-string.
 """
 
 from __future__ import annotations
@@ -169,6 +173,118 @@ _BLOCK_BYTES = 1 << 16
 _CORE_LINES = 32
 
 
+# A block decided through the core is written by ``_format_block``'s
+# vectorized pass when it holds at least this many lines, else by the
+# per-line f-string. The pass costs a fixed ~0.15 ms (about 150 numpy
+# calls), the f-string ~1.5 us a line. Measured in-process (the benchmark's
+# seed-0 file under lond adaptive and lord power, a block of m lines from
+# line 20001, median of 300 alternating calls; 2-vCPU x86 host, Python
+# 3.11.7, numpy 2.4.6), the pass's cost over the f-string's is 1.30-1.31
+# at m = 96, 1.04-1.05 at 128, 0.87-0.91 at 160, 0.77-0.78 at 192 and
+# 0.66-0.67 at 256. A whole ``cmd_stream`` block costs what it did before
+# the pass at 32 lines (105 and 82 us for lond and lord, against 107 and
+# 82) and at 128 (within the host's noise), and less at 512 (706 and
+# 763 us, against 1106 and 1130).
+_FORMAT_LINES = 160
+
+_TINY = 2.0**-1022  # the least normal float
+
+
+def _words(chunks, dtype=np.uint64):
+    """Equal-length byte strings as one ``dtype`` word each."""
+    return np.frombuffer(b"".join(chunks), dtype=dtype)
+
+
+def _keep(flags):
+    """A mask word from a string of 0s and 1s, one per byte."""
+    return bytes(int(f) for f in flags)
+
+
+# ``_format_block`` lays a line out in 8-byte words and keeps the bytes its
+# mask marks: the index right-aligned in 8 digits a word, then alpha and p
+# in four words each, then the tag. A float's words are " L.000D." (L the
+# lead, 1 for 1.0 only; up to three zeros; D the first digit; the point
+# of the exponent form), its 16 further digits, and "e-DDD" and padding.
+_HEAD = _words(b" %d.000%d." % (lead, d) for lead in (0, 1) for d in range(10))
+_HEAD_KEEP = _words([_keep("111" + "1" * z + "0" * (3 - z) + "10") for z in range(4)]  # 0.000ddd
+                    + [_keep("1000001" + dot) for dot in "01"])                       # d[.ddd]e-dd
+_EXP = _words(b"e-%03d   " % e for e in range(309))  # 2**-1022 is 2.2e-308
+_EXP_KEEP = _words(_keep(flags) for flags in ("00000000", "11011000", "11111000"))
+_RIGHT_KEEP = _words(_keep("0" * (8 - c) + "1" * c) for c in range(9))
+_LEFT_KEEP = _words((_keep("1" * c + "0" * (4 - c)) for c in range(5)), np.uint32)
+_TAG = _words([b" ACCEPT\n", b" REJECT\n"])
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _subnormal(values) -> bool:
+    """Whether any of ``values`` is nonzero and under 2**-1022."""
+    return bool(np.any((values > 0.0) & (values < _TINY)))
+
+
+def _format_block(start: int, alpha, p, rejected) -> str:
+    """The lines ``f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\\n"`` of a block, joined.
+
+    ``i`` counts from ``start``. One vectorized pass: ``_decimal.shortest``
+    gives each level's and P-value's shortest digits, which fill a
+    (lines x words) matrix and a mask in ``repr``'s notation (``0.`` and
+    zeros before the digits from 1e-4 up, ``d.ddde-XX[X]`` below; 0.0 and
+    1.0 as they are), and the kept bytes are the text. Every value must
+    be zero or normal: ``cmd_stream`` writes a block holding a subnormal,
+    whose digits may differ from ``repr``'s, with the f-string, as it does
+    a block under ``_FORMAT_LINES`` lines, where the pass's fixed cost
+    outweighs its gain.
+    """
+    from . import _decimal  # here, so that its tables are built by the first large block, not at import
+
+    n = len(p)
+    x = np.stack([alpha, p], axis=1)
+    digits, point = _decimal.shortest(x)  # x = 0.ddd 10**point
+    one = x == 1.0
+    constant = (x == 0.0) | one
+    digits[constant] = 0
+    point[constant] = 0
+    lead = digits // np.uint64(10**16)
+    tail = digits - lead * np.uint64(10**16)
+    high = tail // np.uint64(10**8)
+    low = tail - high * np.uint64(10**8)
+    quads = np.empty((n, 2, 4), dtype=np.uint64)
+    quads[..., 0] = high // np.uint64(10**4)
+    quads[..., 1] = high - quads[..., 0] * np.uint64(10**4)
+    quads[..., 2] = low // np.uint64(10**4)
+    quads[..., 3] = low - quads[..., 2] * np.uint64(10**4)
+    quads = quads.astype(np.intp)
+    # A quad keeps all four digits if a later one is nonzero, else up to its last nonzero.
+    kept = _decimal.SIGNIFICANT.take(quads)
+    later = quads[..., 3] != 0
+    for j in (2, 1, 0):
+        kept[..., j][later] = 4
+        later |= quads[..., j] != 0
+    fixed = point >= -3
+    exponent = 1 - point
+
+    index = np.arange(start, start + n, dtype=np.int64)
+    words = -(-len(str(start + n - 1)) // 8)
+    line = np.empty((n, words + 9), dtype=np.uint64)
+    keep = np.empty_like(line)
+    index_quads = line[:, :words].view(np.uint32)
+    for j in range(2 * words):
+        index_quads[:, -1 - j] = _decimal.QUADS.take(index // 10 ** (4 * j) % 10000)
+    size = np.searchsorted(_POW10, index, side="right")  # digits of each index
+    for w in range(words):
+        keep[:, words - 1 - w] = _RIGHT_KEEP.take(np.clip(size - 8 * w, 0, 8))
+    text = line[:, words:-1].reshape(n, 2, 4)
+    text[..., 0] = _HEAD.take(lead.astype(np.intp) + 10 * one)
+    text[..., 1:3].view(np.uint32)[...] = _decimal.QUADS.take(quads)
+    text[..., 3] = _EXP.take(exponent)
+    mask = keep[:, words:-1].reshape(n, 2, 4)
+    mask[..., 0] = _HEAD_KEEP.take(np.where(fixed, -point, 4 + later))
+    mask[..., 1:3].view(np.uint32)[...] = _LEFT_KEEP.take(kept)
+    mask[..., 3] = _EXP_KEEP.take(np.where(fixed, 0, 1 + (exponent >= 100)))
+    line[:, -1] = _TAG.take(rejected)
+    keep[:, -1] = _RIGHT_KEEP[8]
+    return line.view(np.uint8)[keep.view(bool)].tobytes().decode("ascii")
+
+
 def _split_lines(read):
     """Yield the list of complete byte lines in each ``read``.
 
@@ -225,7 +341,10 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     prefix is decided from the carried state (``LordState``/``LondState``):
     through the shared core when it holds at least ``_CORE_LINES`` values,
     by folding the rule's step over it when shorter. Both give the bits
-    of the fold, so the split changes no output.
+    of the fold, so the split changes no output. A block of
+    ``_FORMAT_LINES`` lines or more is written by one vectorized pass
+    (``_format_block``) whose bytes equal ``repr``'s; a shorter block, or
+    one holding a subnormal level or P-value, takes the per-line f-string.
 
     Output format: ``index alpha p REJECT|ACCEPT``. Every decision is
     written and flushed before the command waits for more input; lines
@@ -266,10 +385,14 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
                     out.append(f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n")
                     discoveries += r
             else:
-                alpha, rejected = state._decide(schedule, np.array(values))
-                rows = zip(range(state.next_index - len(values), state.next_index),
-                           alpha.tolist(), values, rejected.tolist())
-                out = [f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n" for i, a, p, r in rows]
+                p = np.array(values)
+                alpha, rejected = state._decide(schedule, p)
+                start = state.next_index - len(values)
+                if len(values) < _FORMAT_LINES or _subnormal(alpha) or _subnormal(p):
+                    rows = zip(range(start, state.next_index), alpha.tolist(), values, rejected.tolist())
+                    out = [f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n" for i, a, p, r in rows]
+                else:
+                    out = [_format_block(start, alpha, p, rejected)]
                 discoveries += int(np.count_nonzero(rejected))
             count += len(values)
             stdout.write("".join(out))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from streamfdr import cli, lond_step, make_power_schedule, run_stream
+from streamfdr import (LondState, LordState, cli, lond_step, lord_step, make_adaptive_schedule,
+                       make_power_schedule, run_stream)
 from streamfdr.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -486,6 +487,89 @@ class TestStreamBlocks:
         code, stdout, _ = stream_chunks([b"".join(lines)], procedure=procedure)
         assert (code, stdout.getvalue()) == (EXIT_OK, stream_chunks(zero, procedure=procedure)[1].getvalue())
         assert stdout.getvalue().splitlines()[100].split()[2] == "0.0"
+
+
+def fstring_lines(start, alpha, p, rejected):
+    """The decision lines as the per-line f-string writes them."""
+    rows = zip(range(start, start + len(p)), alpha.tolist(), p.tolist(), rejected.tolist())
+    return "".join(f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n" for i, a, p, r in rows)
+
+
+# Both notations and their boundary, the constants, 17-digit and short decimals.
+EDGE_VALUES = [0.0, 1.0, 0.5, 0.0001, 9.999999999999999e-05, 1e-99, 1e-100, 1e-05, 0.001, 0.1,
+               2.0**-1022, 2.0**-25, 0.30000000000000004, 1.0 - 2.0**-53, 0.05, 2.5e-200, 1.2e-10]
+
+
+def block(n, seed):
+    """Levels, P-values and verdicts of an n-line block mixing both notations and the edges."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.random(n) ** 30
+    p = rng.random(n)
+    p[::3] = p[::3] ** 40  # exponent notation
+    p[::5] = rng.integers(1 << 52, 1023 << 52, len(p[::5]), dtype=np.uint64).view(np.float64)
+    p[:len(EDGE_VALUES)] = EDGE_VALUES
+    alpha[-len(EDGE_VALUES):] = EDGE_VALUES
+    return alpha, p, p <= alpha
+
+
+class TestFormatBlock:
+    @pytest.mark.parametrize("start", [1, 9990, 99990, 2 * 10**7, 99999990, 10**12])
+    def test_matches_the_fstring(self, start):
+        # 9999 -> 10000 and 99999 -> 100000 inside the block; 99999999 -> 1e8
+        # crosses to a second word of index digits.
+        alpha, p, rejected = block(max(cli._FORMAT_LINES, 300), seed=start)
+        assert cli._format_block(start, alpha, p, rejected) == fstring_lines(start, alpha, p, rejected)
+
+    def test_a_large_random_block(self):
+        alpha, p, rejected = block(20000, seed=1)
+        assert cli._format_block(1, alpha, p, rejected) == fstring_lines(1, alpha, p, rejected)
+
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    @pytest.mark.parametrize("subnormal", [5e-324, 8e-323, 2.225073858507201e-308])
+    def test_subnormal_pvalue_takes_the_fstring(self, procedure, subnormal, monkeypatch):
+        # The kernel's digits differ from repr's for some subnormals (Java
+        # prints 4.9e-324 for 5e-324), so such a block is written line by line.
+        lines = [b"%r\n" % x for x in RNG_LINES]
+        lines[7] = b"%r\n" % subnormal
+        expected = stream_chunks(lines, procedure=procedure)[1].getvalue()
+        assert f" {subnormal!r} " in expected
+
+        def refused(*args):
+            raise AssertionError("the vectorized pass ran")
+
+        monkeypatch.setattr(cli, "_format_block", refused)
+        code, stdout, _ = stream_chunks([b"".join(lines)], procedure=procedure)
+        assert (code, stdout.getvalue()) == (EXIT_OK, expected)
+
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_subnormal_level_takes_the_fstring(self, procedure):
+        # A budget of 1e-310 makes every level subnormal.
+        pvalues = RNG_LINES[:cli._FORMAT_LINES]
+        stdout = io.StringIO()
+        lines = b"".join(b"%r\n" % x for x in pvalues)
+        assert cmd_stream(procedure, 1e-310, None, True, stdin=arrivals([lines]), stdout=stdout,
+                          stderr=io.StringIO()) == EXIT_OK
+        state, step = {"lord": (LordState(), lord_step), "lond": (LondState(), lond_step)}[procedure]
+        schedule = make_adaptive_schedule(1e-310)
+        decisions = [step(state, schedule, p) for p in pvalues]
+        assert 0.0 < decisions[0].alpha < 2.0**-1022
+        expected = "".join(f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n"
+                           for i, a, p, r in decisions)
+        assert stdout.getvalue().rsplit("#", 1)[0] == expected
+
+    @pytest.mark.parametrize("procedure, nu, adaptive", [("lord", 1.05, False), ("lond", None, True)])
+    def test_blocks_at_the_crossover_give_the_bytes_of_line_at_a_time(self, procedure, nu, adaptive,
+                                                                      monkeypatch):
+        options = {"procedure": procedure, "nu": nu, "adaptive": adaptive}
+        calls = []
+        vectorized = cli._format_block
+        monkeypatch.setattr(cli, "_format_block",
+                            lambda *args: calls.append(len(args[2])) or vectorized(*args))
+        for n in (cli._FORMAT_LINES - 1, cli._FORMAT_LINES):
+            lines = [b"%r\n" % x for x in RNG_LINES[:n]]
+            code, stdout, _ = stream_chunks([b"".join(lines)], **options)
+            assert (code, stdout.getvalue()) == (EXIT_OK, stream_chunks(lines, **options)[1].getvalue())
+        assert calls == [cli._FORMAT_LINES]
 
 
 def read_line(stream, timeout=20.0):

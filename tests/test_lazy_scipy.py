@@ -70,6 +70,31 @@ def test_scipy_loaded_only_where_needed(code, stdin, loaded):
     assert result.stdout.splitlines()[-1] == str(loaded)
 
 
+@pytest.mark.parametrize("procedure, flags", [("lond", ("--adaptive",)), ("lord", ())])
+def test_vectorized_block_loads_no_scipy(procedure, flags):
+    # One block of _FORMAT_LINES lines is written by the vectorized pass,
+    # which loads the digits kernel and no scipy. Short lines keep the input
+    # under PIPE_BUF, so the child reads it as one block.
+    from streamfdr import cli
+
+    values = np.random.default_rng(4).random(cli._FORMAT_LINES).round(3)
+    pvalues = "".join(f"{x!r}\n" for x in values.tolist())
+    assert len(pvalues) < 4096
+    code = (stream(procedure, *flags) + "print('streamfdr._decimal' in sys.modules)" + SCIPY_LOADED)
+    result = run_python(code, pvalues)
+    assert result.returncode == 0, result.stderr
+    summary, kernel_loaded, scipy_loaded = result.stdout.splitlines()[-3:]
+    assert summary.endswith(f" n={cli._FORMAT_LINES}")
+    assert (kernel_loaded, scipy_loaded) == ("True", "False")
+
+
+def test_cli_import_leaves_the_digits_kernel_unloaded():
+    # Its tables are built when it is first imported, by the first large block.
+    result = run_python("import streamfdr.cli\nprint('streamfdr._decimal' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_import_loads_no_thread_pool():
     # simulate imports concurrent.futures, which loads logging, only to run a pool.
     result = run_python("import streamfdr.cli\nprint('concurrent.futures' in sys.modules)")
