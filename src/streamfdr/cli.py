@@ -24,8 +24,9 @@ import sys
 
 import numpy as np
 
-from .engines import LondState, LordState, lond_step, lord_step
-from .schedules import FieldError, LambdaSchedule, _check_q, make_adaptive_schedule, make_power_schedule
+from .engines import _RULES, lond_step, lord_step
+from .schedules import (FieldError, LambdaSchedule, _check_q, _index, make_adaptive_schedule,
+                        make_power_schedule)
 from .simulation import MixtureConfig, run_grid, write_csv
 
 __all__ = ["main", "entry", "cmd_simulate", "cmd_stream", "cmd_schedule", "parse_config"]
@@ -56,8 +57,8 @@ def parse_config(text: str):
     Blank lines and ``#`` comments are ignored. Grid keys ``n_values`` /
     ``r_values`` (comma-separated) replace the scalar ``n`` / ``r``;
     exactly one of each pair must be present. ``nu`` with ``schedule =
-    adaptive`` and ``q`` with ``q_rule = inverse-log`` are errors, as is a
-    repeated entry of ``procedures``.
+    adaptive`` and ``q`` with ``q_rule = inverse-log`` are errors, as are
+    an empty list item and a repeated list entry.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -79,9 +80,9 @@ def parse_config(text: str):
             raise ConfigError(key, "unknown key")
         try:
             if key in _LIST_KEYS:
-                parts = [part.strip() for part in value.split(",") if part.strip()]
-                if not parts:
-                    raise ValueError("empty list")
+                parts = [part.strip() for part in value.split(",")]
+                if "" in parts:
+                    raise ValueError("empty list item")
                 raw[key] = [caster(part) for part in parts]
             else:
                 raw[key] = caster(value)
@@ -93,6 +94,8 @@ def parse_config(text: str):
             raise ConfigError(grid, f"give either '{scalar}' or '{grid}', not both")
         if scalar not in raw and grid not in raw:
             raise ConfigError(scalar, f"missing required key '{scalar}' (or '{grid}')")
+        if grid in raw and len(set(raw[grid])) < len(raw[grid]):
+            raise ConfigError(grid, f"repeated entry in {raw[grid]} (the same seeded cells would run twice)")
     if "beta" not in raw:
         raise ConfigError("beta", "missing required key 'beta'")
 
@@ -158,7 +161,7 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     return EXIT_OK
 
 
-_STREAM_RULES = ("lord", "lond")
+_STREAM_RULES = tuple(_RULES)
 _BLOCK_BYTES = 1 << 16
 
 # A block of at least this many good lines is decided through the core
@@ -367,9 +370,9 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     except ValueError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_CONFIG
+    state = _RULES[procedure].state()
     # Looked up per call, not bound at import, so a patched step is the one run.
-    state_type, step = {"lord": (LordState, lord_step), "lond": (LondState, lond_step)}[procedure]
-    state = state_type()
+    step = {"lord": lord_step, "lond": lond_step}[procedure]
     encoding, errors = stdin.encoding, stdin.errors
     count = 0
     discoveries = 0
@@ -415,8 +418,10 @@ def cmd_schedule(q: float, nu, adaptive: bool, head: int, stdout=None, stderr=No
     """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    if head < 1:
-        print(f"error: --head must be >= 1, got {head}", file=stderr)
+    try:
+        head = _index("head", head, 1)
+    except FieldError as exc:
+        print(f"error: --{exc.field}: {exc}", file=stderr)
         return EXIT_CONFIG
     try:
         schedule = _make_schedule_from_flags(q, nu, adaptive)

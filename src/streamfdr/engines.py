@@ -11,16 +11,17 @@ while the index stays in the window of values read last. ``bh_reject``
 is the classic static step-up rule over a complete P-value vector, used
 as a non-sequential baseline.
 
-``run_stream``, the ``*_levels`` array forms and a stream state's
-``_decide`` (one block of a stream, as ``streamfdr stream`` decides it)
+A block reaches the decision core through one entry per rule, its step
+state's ``_decide``: one block of a stream from the state the stream
+carries, as ``streamfdr stream`` decides it. ``run_stream`` and the
+``*_levels`` array forms decide through a fresh state. All of them
 compute exactly what folding the step functions would, through one core
-shared by both rules and by the simulation cells. The core starts from
-any carried state: the stream index of its first value and the rule's
-state before it. The array forms pass the fresh state. A rule
-(``_Rule``) is a few small functions: a bound on every level the rule
-can give a position, a round's comparisons, the state that settled
-rejections leave, a walk with the step's own expression, and the
-levels of a block from a carried state.
+function (``_rejected``) shared by both rules and by the simulation
+cells. The core starts from any carried state: the stream index of its
+first value and the rule's state before it. A rule (``_Rule``) is its
+step state type and a few small functions: a bound on every level the
+rule can give a position, a round's comparisons, the state that settled
+rejections leave, and a walk with the step's own expression.
 
 Lond reads the block's own lambda_{s+1} .. lambda_e and runs the core
 from ``D + 1``. Lord's state before the block's first rejection is the
@@ -47,25 +48,25 @@ Both rules are monotone: more past rejections never lower a level. A
 later last discovery reads the schedule nearer lambda_1, which is no
 smaller since a schedule does not increase (lord needs this); a larger
 count multiplies lambda_i by a larger whole number, which is no smaller
-in floats too (lond). So the core decides the candidates in rounds
-(``_walked``). It starts with no rejection of the block settled. Each
-round gives every open candidate the level that the settled rejections
-imply and settles those at or below it: the true state holds at least
-those rejections, so its level is no lower, and by induction every
-settled candidate is a true rejection. A candidate above the level it
-would have were every open candidate before it rejected is an
-acceptance. A round that settles nothing has found every rejection, as
-the first one missed would have had its exact state and been settled.
-When the rounds stop short of that, the step's own float expressions
-walk the candidates from the first one left open, from its exact state,
-since every candidate before it is decided.
+in floats too (lond). So the core decides the candidates in rounds. It
+starts with no rejection of the block settled. Each round gives every
+open candidate the level that the settled rejections imply and settles
+those at or below it: the true state holds at least those rejections, so
+its level is no lower, and by induction every settled candidate is a
+true rejection. A candidate above the level it would have were every
+open candidate before it rejected is an acceptance. A round that settles
+nothing has found every rejection, as the first one missed would have
+had its exact state and been settled. When the rounds stop short of
+that, the step's own float expressions walk the candidates from the
+first one left open, from its exact state, since every candidate before
+it is decided.
 
 So the cost is a few vectorized passes per round over the open
 candidates, plus one Python iteration (about 0.1-0.3 us) per walked
 candidate. An all-zero stream settles in one round and a dense mixture
 in a few; neither walks. A stream of acceptances has no candidate. A
 discovery chain settles one link per round, so its rounds stop after
-the first and it walks every link. The array forms then rebuild the
+the first and it walks every link. The block entries then rebuild the
 levels from the rejected positions in one vectorized pass.
 
 The step-up rule's cutoff likewise reads only the P-values at or below
@@ -106,12 +107,36 @@ class LordState(_ChunkCursor):
         """``(alpha, rejected)`` of the validated block ``p`` from this state, which then moves past it.
 
         The same as folding ``lord_step`` over the block, through the core.
+        Before the first rejection the state is the carried one, so the
+        levels are the carried slice lambda_{i - t} .. (i the next index,
+        t the last discovery) and the first P-value at or below it is the
+        first rejection, found in one compare. After it comes a fresh lord
+        run over lambda_1 .., a view of the carried slice when that starts
+        at lambda_1 (``t = i - 1``, or a fresh state); no call reads from
+        lambda_1 to a far index. Each run of positions between rejections
+        reads the schedule from lambda_1 again: a rest without a rejection
+        is one copy of its slice, and only one with rejections is gathered.
         """
-        i = self.next_index
-        alpha, rejected = _lord_levels(p, schedule, i, self.last_discovery)
+        i, t, n = self.next_index, self.last_discovery, p.size
+        lam = schedule.slice(i - t, i - t + n)
+        alpha, rejected = lam.copy(), p <= lam
         if rejected.any():
-            self.last_discovery = i + p.size - 1 - int(rejected[::-1].argmax())
-        self.next_index = i + p.size
+            skip = int(rejected.argmax()) + 1  # the positions up to the first rejection
+            rejected[skip:] = False
+            rest = p[skip:]
+            if rest.size:
+                head = lam[:rest.size] if i - t == 1 else schedule.slice(1, rest.size + 1)
+                hits = _rejected(_RULES["lord"], head, rest)
+                if hits.size:
+                    rejected[hits + skip] = True
+                    after = hits + 1
+                    runs = np.diff(after[after < rest.size], prepend=0, append=rest.size)
+                    offset = np.arange(rest.size)
+                    offset -= np.repeat(np.cumsum(runs) - runs, runs)
+                    head = head.take(offset)
+                alpha[skip:] = head
+            self.last_discovery = i + n - 1 - int(rejected[::-1].argmax())
+        self.next_index = i + n
         return alpha, rejected
 
 
@@ -126,11 +151,23 @@ class LondState(_ChunkCursor):
         """``(alpha, rejected)`` of the validated block ``p`` from this state, which then moves past it.
 
         The same as folding ``lond_step`` over the block, through the core.
+        The core runs over the block's own schedule values from ``d = D +
+        1``, D the discovery count; the level at stream index j is
+        ``min(1, lambda_j (d + c))``, c the block's rejections before j.
         """
-        alpha, rejected = _lond_levels(p, schedule, self.next_index, self.discoveries)
-        self.discoveries += int(np.count_nonzero(rejected))
-        self.next_index += p.size
-        return alpha, rejected
+        i, n = self.next_index, p.size
+        lam = schedule.slice(i, i + n)
+        d = self.discoveries + 1
+        hits = _rejected(_RULES["lond"], lam, p, state=d)
+        rejected = np.zeros(n, dtype=bool)
+        rejected[hits] = True
+        after = hits + 1
+        runs = np.diff(after[after < n], prepend=0, append=n)  # each run shares d + c
+        alpha = np.repeat(np.arange(d, d + runs.size, dtype=np.float64), runs)
+        np.multiply(alpha, lam, out=alpha)
+        self.discoveries += hits.size
+        self.next_index = i + n
+        return np.minimum(alpha, 1.0, out=alpha), rejected
 
 
 class Decision(NamedTuple):
@@ -203,7 +240,7 @@ def _lord_bound(values: np.ndarray, lam: np.ndarray, *_) -> np.ndarray:
     """Candidates of lord: every level is some lambda_j, so at most the largest.
 
     This holds for any schedule, position and start state. The rounds of
-    ``_walked`` need more: a schedule that does not increase, as
+    ``_rejected`` need more: a schedule that does not increase, as
     ``LambdaSchedule`` defines one, so that a later last discovery never
     lowers a level.
     """
@@ -241,41 +278,6 @@ def _lord_walk(lam: memoryview, positions: list, values: list, t: int) -> list:
             t = k + 1
             hits.append(k)
     return hits
-
-
-def _lord_levels(p: np.ndarray, schedule, index: int = 1, t: int = 0):
-    """``(alpha, rejected)`` of lord on validated P-values of indices ``index`` on, from last discovery ``t``.
-
-    Before the first rejection the state is the carried one, so the
-    levels are the carried slice lambda_{index - t} .. and the first
-    P-value at or below it is the first rejection, found in one compare.
-    After it comes a fresh lord run over lambda_1 .., a view of the
-    carried slice when that starts at lambda_1 (``t = index - 1``, or a
-    fresh state); no call reads from lambda_1 to a far index. Each run of
-    positions between rejections reads the schedule from lambda_1 again:
-    a rest without a rejection is one copy of its slice, and only one
-    with rejections is gathered.
-    """
-    n = p.size
-    lam = schedule.slice(index - t, index - t + n)
-    alpha, rejected = lam.copy(), p <= lam
-    if not rejected.any():
-        return alpha, rejected
-    skip = int(rejected.argmax()) + 1  # the positions up to the first rejection
-    rejected[skip:] = False
-    rest = p[skip:]
-    if rest.size:
-        head = lam[:rest.size] if index - t == 1 else schedule.slice(1, rest.size + 1)
-        hits = _rejected(_RULES["lord"], head, rest)
-        if hits.size:
-            rejected[hits + skip] = True
-            after = hits + 1
-            runs = np.diff(after[after < rest.size], prepend=0, append=rest.size)
-            offset = np.arange(rest.size)
-            offset -= np.repeat(np.cumsum(runs) - runs, runs)
-            head = head.take(offset)
-        alpha[skip:] = head
-    return alpha, rejected
 
 
 def _lond_bound(values: np.ndarray, lam: np.ndarray, positions, d) -> np.ndarray:
@@ -326,34 +328,11 @@ def _lond_walk(lam: memoryview, positions: list, values: list, d: int) -> list:
     return hits
 
 
-def _lond_levels(p: np.ndarray, schedule, index: int = 1, discoveries: int = 0):
-    """``(alpha, rejected)`` of lond on validated P-values of indices ``index`` on, from ``discoveries``.
-
-    The core runs over lambda_index .. of the block from ``d = D + 1``;
-    the levels are ``min(1, lambda_i (d + c))`` with c the block's
-    rejections before position i.
-    """
-    n = p.size
-    lam = schedule.slice(index, index + n)
-    d = discoveries + 1
-    hits = _rejected(_RULES["lond"], lam, p, state=d)
-    rejected = np.zeros(n, dtype=bool)
-    rejected[hits] = True
-    after = hits + 1
-    runs = np.diff(after[after < n], prepend=0, append=n)  # each run shares d + c
-    alpha = np.repeat(np.arange(d, d + runs.size, dtype=np.float64), runs)
-    np.multiply(alpha, lam, out=alpha)
-    return np.minimum(alpha, 1.0, out=alpha), rejected
-
-
 class _Rule(NamedTuple):
     """A streaming rule as the core runs it; ``fresh`` is the core's state before any discovery.
 
-    ``levels(p, schedule, index, carried)`` decides a validated block
-    whose first value has stream index ``index``, from the rule's state
-    before it as the step state holds it (``carried``: lord's last
-    discovery, lond's discovery count; both 0 when fresh), and returns
-    ``(alpha, rejected)``.
+    ``state`` is the rule's step state type, whose ``_decide`` is the one
+    way a block reaches the core from a carried state.
     """
 
     name: str
@@ -361,13 +340,13 @@ class _Rule(NamedTuple):
     round: Callable
     settle: Callable
     walk: Callable
-    levels: Callable
+    state: type
     fresh: int
 
 
 _RULES = {
-    "lord": _Rule("lord", _lord_bound, _lord_round, _lord_settle, _lord_walk, _lord_levels, 0),
-    "lond": _Rule("lond", _lond_bound, _lond_round, _lond_settle, _lond_walk, _lond_levels, 1),
+    "lord": _Rule("lord", _lord_bound, _lord_round, _lord_settle, _lord_walk, LordState, 0),
+    "lond": _Rule("lond", _lond_bound, _lond_round, _lond_settle, _lond_walk, LondState, 1),
 }
 
 # A walk step (one Python iteration) costs about as much as this many
@@ -378,7 +357,7 @@ _WALK_COST = 4
 
 def _rejected(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None,
               state=None, stats=None) -> np.ndarray:
-    """Rejected positions of a stream of ``lam.size`` P-values, from those it may reject.
+    """Rejected positions of a stream of ``lam.size`` P-values, from those it may reject, in order.
 
     ``rule`` is one of ``_RULES``; ``lam`` holds the schedule values the
     core reads: lambda_1 .. lambda_n for lord, the block's own for lond.
@@ -387,26 +366,16 @@ def _rejected(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None,
     above every level the rule can give it; ``None`` stands for every
     position. ``state`` is the core's state before position 0 (lord: the
     last discovery, 1-based, on ``lam``'s clock; lond: 1 + the discovery
-    count), ``rule.fresh`` when ``None``. The rule's bound picks the
-    candidates, and the rounds and the walk decide them (``_walked``,
-    which also takes ``stats``).
-    """
-    state = rule.fresh if state is None else state
-    candidates = np.flatnonzero(rule.bound(values, lam, positions, state))
-    at = candidates if positions is None else positions[candidates]
-    return _walked(rule, lam, at, values[candidates], state, stats)
+    count), ``rule.fresh`` when ``None``.
 
-
-def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndarray, state,
-            stats=None) -> np.ndarray:
-    """Rejected positions among a rule's candidates, in order: rounds, then a walk if need be.
-
-    Each round takes the candidates still open, with the state that the
-    settled rejections give each (``rule.round``). One whose P-value is
-    at or below that level is settled as a rejection; one above the
-    level it would have with every open candidate before it rejected is
-    decided as an acceptance; the rest stay open. A round that settles
-    nothing ends the rounds: the settled set is then the rule's.
+    The rule's bound picks the candidates; rounds, then a walk if need
+    be, decide them. Each round takes the candidates still open, with the
+    state that the settled rejections give each (``rule.round``). One
+    whose P-value is at or below that level is settled as a rejection;
+    one above the level it would have with every open candidate before it
+    rejected is decided as an acceptance; the rest stay open. A round
+    that settles nothing ends the rounds: the settled set is then the
+    rule's.
 
     The rounds also stop when going on would cost more than walking.
     A round that decides ``k`` candidates and leaves ``left`` open
@@ -426,14 +395,19 @@ def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndar
     spare, and never a quadratic amount.
 
     When the rounds stop, the walk starts at the first open candidate,
-    whose state is exact since every candidate before it is decided, and
-    runs the rule's step expressions over every later candidate; it
-    reads the schedule through a memoryview and the candidates as lists,
-    so each step handles Python floats only.
+    whose state is exact since every candidate before it is decided: the
+    one ``rule.settle`` gives it, as the next round would have read it.
+    The walk runs the rule's step expressions over every later candidate;
+    it reads the schedule through a memoryview and the candidates as
+    lists, so each step handles Python floats only.
 
     Given a dict, ``stats[rule.name]`` (a ``Counter``) gains the
     candidates, the rounds, the positions walked and the rejections.
     """
+    state = rule.fresh if state is None else state
+    candidates = np.flatnonzero(rule.bound(values, lam, positions, state))
+    positions = candidates if positions is None else positions[candidates]
+    values = values[candidates]
     n = positions.size
     rejected = np.zeros(n, dtype=bool)  # settled, by candidate
     index, open_, x = None, positions, values  # index None: every candidate
@@ -452,14 +426,11 @@ def _walked(rule: _Rule, lam: np.ndarray, positions: np.ndarray, values: np.ndar
         begin = first if index is None else int(index[first])  # the first open candidate
         grown = open_.size - left >= 2 * (first if decided is None else decided)
         decided = open_.size - left
+        settled = rule.settle(state, open_, hit)
         if not grown and left * left > _WALK_COST * decided * (n - begin):
-            head = slice(first + 1)
-            state = rule.settle(state[head] if np.ndim(state) else state, open_[head], hit[head])
-            state = int(state[-1])
-            start = begin
-            del open_, x, index  # the walk's lists take their place
+            state, start = int(settled[first]), begin
             break
-        state = rule.settle(state, open_, hit)[live]
+        state = settled[live]
         index = np.flatnonzero(live) if index is None else index[live]
         open_, x = positions.take(index), values.take(index)
     hits = positions[:start][rejected[:start]]
@@ -479,7 +450,7 @@ def lord_levels(pvalues, schedule: LambdaSchedule):
     Returns ``(alpha, rejected)`` arrays bit-identical to folding
     ``lord_step`` over the stream.
     """
-    return _lord_levels(_check_p_array(pvalues), schedule)
+    return LordState()._decide(schedule, _check_p_array(pvalues))
 
 
 def lond_levels(pvalues, schedule: LambdaSchedule):
@@ -488,7 +459,7 @@ def lond_levels(pvalues, schedule: LambdaSchedule):
     Returns ``(alpha, rejected)`` arrays bit-identical to folding
     ``lond_step`` over the stream.
     """
-    return _lond_levels(_check_p_array(pvalues), schedule)
+    return LondState()._decide(schedule, _check_p_array(pvalues))
 
 
 def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]:
@@ -503,7 +474,7 @@ def run_stream(engine: str, schedule: LambdaSchedule, pvalues) -> list[Decision]
     except (KeyError, AttributeError):
         raise ValueError(f"engine must be one of {sorted(_RULES)}, got {engine!r}") from None
     p = _check_p_array(pvalues)
-    alpha, rejected = rule.levels(p, schedule)
+    alpha, rejected = rule.state()._decide(schedule, p)
     return list(map(Decision, range(1, p.size + 1), alpha.tolist(), p.tolist(), rejected.tolist()))
 
 

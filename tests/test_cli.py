@@ -123,6 +123,16 @@ class TestParseConfig:
             ("q = 0.1", "q = 5\nq_rule = inverse-log", "q"),
             ("q = 0.1", "q = 0.1\nschedule = adaptive\nnu = 1.05", "nu"),
             ("q = 0.1", "q = 0.1\nschedule = adaptive\nnu = 1", "nu"),
+            # A repeated grid entry would run the same seeded cells twice.
+            ("n = 2000", "n_values = 1000, 2000, 1000", "n_values"),
+            ("r = 0.8", "r_values = 0.5, 0.50", "r_values"),
+            # An empty list item is not skipped, and a list needs an item.
+            ("n = 2000", "n_values = 1000, , 2000", "n_values"),
+            ("procedures = lord, bh", "procedures = lord,", "procedures"),
+            ("procedures = lord, bh", "procedures =", "procedures"),
+            # A line that is not 'key = value' is named by its number.
+            ("seed = 7", "seed 7", "line 7"),
+            ("beta = 0.5\n", "", "beta"),
         ],
     )
     def test_each_field_names_its_key(self, old, new, key, tmp_path, capsys):
@@ -262,6 +272,17 @@ class TestScheduleCommand:
         code, _, err = self.run(nu=0.9, head=3)
         assert code == EXIT_CONFIG
         assert "nu" in err
+
+    @pytest.mark.parametrize("head", ["0", "-3"])
+    def test_head_below_one_is_named(self, head, capsys):
+        assert main(["schedule", "--head", head]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --head: head must be an integer >= 1, got {head}\n"
+        assert captured.out == ""
+
+    def test_fractional_head_is_named(self):
+        message = "error: --head: head must be an integer >= 1, got 2.5\n"
+        assert self.run(head=2.5) == (EXIT_CONFIG, "", message)
 
     def test_adaptive_kind(self):
         code, out, _ = self.run(adaptive=True, head=5)

@@ -93,6 +93,11 @@ class TestConfigValidation:
             small_config(procedures=procedures)
         assert info.value.field == "procedures"
 
+    def test_no_procedure(self):
+        with pytest.raises(simulation.FieldError, match=r"^procedures must be a non-empty subset") as info:
+            small_config(procedures=())
+        assert info.value.field == "procedures"
+
     def test_bad_schedule_kind(self):
         with pytest.raises(ValueError):
             small_config(schedule="geometric")
