@@ -1,7 +1,8 @@
 """Command-line surface: simulate experiment grids, stream decisions, dump schedules.
 
-Exit codes: 0 success, 2 malformed flags or config, 3 unwritable output,
-4 malformed stream input. The stream command is strictly online: each
+Exit codes: 0 success, 2 malformed flags or config (a stdin encoding that
+``stream`` cannot split into lines included), 3 unwritable output, 4
+malformed stream input. The stream command is strictly online: each
 decision depends only on earlier lines and is written and flushed before
 the command waits for more input, and a bad line aborts immediately
 (silently skipping inputs would void the error-control guarantee). The
@@ -338,7 +339,10 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     ``stdin`` must have a binary ``buffer``, as ``sys.stdin`` does: it is
     read with one ``read1`` per block, and each line is decoded with the
     stream's ``encoding`` and ``errors``, so a line that does not decode
-    is a bad line like any other.
+    is a bad line like any other. Lines are split at the byte ``\\n``
+    before they are decoded, so an encoding in which that byte alone is
+    not a line break (UTF-16 or UTF-32, EBCDIC) is refused with one
+    ``error:`` line and exit code 2 before anything is read.
 
     Each block's lines are parsed up to the first bad one. That good
     prefix is decided from the carried state (``LordState``/``LondState``):
@@ -374,6 +378,9 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     # Looked up per call, not bound at import, so a patched step is the one run.
     step = {"lord": lord_step, "lond": lond_step}[procedure]
     encoding, errors = stdin.encoding, stdin.errors
+    if b"\n".decode(encoding, "replace") != "\n":
+        print(f"error: stdin encoding {encoding!r} does not end a line at the byte \\n", file=stderr)
+        return EXIT_CONFIG
     count = 0
     discoveries = 0
     try:
@@ -413,6 +420,8 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
 def cmd_schedule(q: float, nu, adaptive: bool, head: int, stdout=None, stderr=None) -> int:
     """Print lambda_1..lambda_head and the remaining budget q - sum.
 
+    A ``head`` that is not a whole number >= 1, or too many values to
+    hold in memory, is reported under ``--head`` with exit code 2.
     Output that cannot be written, such as a pipe whose reader has closed,
     ends the run with one ``error:`` line and exit code 3, as for ``stream``.
     """
@@ -428,7 +437,11 @@ def cmd_schedule(q: float, nu, adaptive: bool, head: int, stdout=None, stderr=No
     except ValueError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_CONFIG
-    values = schedule.prefix(head)
+    try:
+        values = schedule.prefix(head)
+    except MemoryError:
+        print(f"error: --head: {head} values do not fit in memory", file=stderr)
+        return EXIT_CONFIG
     try:
         for i, lam in enumerate(values, start=1):
             stdout.write(f"{i} {float(lam)!r}\n")

@@ -284,6 +284,12 @@ class TestScheduleCommand:
         message = "error: --head: head must be an integer >= 1, got 2.5\n"
         assert self.run(head=2.5) == (EXIT_CONFIG, "", message)
 
+    def test_head_too_large_for_memory_is_named(self):
+        # 8e15 bytes exceed a 47-bit user address space, so the allocation
+        # is refused at once and no memory is touched.
+        message = "error: --head: 1000000000000000 values do not fit in memory\n"
+        assert self.run(head=10**15) == (EXIT_CONFIG, "", message)
+
     def test_adaptive_kind(self):
         code, out, _ = self.run(adaptive=True, head=5)
         assert code == EXIT_OK
@@ -303,14 +309,14 @@ def test_bad_schedule_flag_is_named(command, flag, value, message, capsys):
     assert captured.err == f"error: {flag}: {message}\n" and captured.out == ""
 
 
-def run_stream_inproc(lines, procedure="lord", q=0.1, nu=2.0, adaptive=False):
+def run_stream_inproc(lines, procedure="lord", q=0.1, nu=2.0, adaptive=False, encoding="utf-8"):
     """Exit code, stdout lines and stderr of ``cmd_stream`` over ``lines``.
 
-    The stdin is a text stream over bytes, so it has the binary buffer
-    that ``sys.stdin`` has.
+    The stdin is a text stream over bytes in ``encoding``, so it has the
+    binary buffer that ``sys.stdin`` has.
     """
-    data = "".join(line + "\n" for line in lines).encode()
-    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    data = "".join(line + "\n" for line in lines).encode(encoding)
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
     stdout, stderr = io.StringIO(), io.StringIO()
     code = cmd_stream(procedure, q, nu, adaptive, stdin=stdin, stdout=stdout, stderr=stderr)
     return code, stdout.getvalue().splitlines(), stderr.getvalue()
@@ -338,6 +344,17 @@ class TestStreamCommand:
         assert code == EXIT_CONFIG and stdout.getvalue() == ""
         assert stderr.getvalue() == (f"error: --procedure: unknown procedure {procedure!r}; "
                                      "choose from ('lord', 'lond')\n")
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32", "cp037"])
+    def test_encoding_without_byte_newline_is_refused(self, encoding):
+        # Lines split at the byte \n, which is no line break in these.
+        message = f"error: stdin encoding {encoding!r} does not end a line at the byte \\n\n"
+        assert run_stream_inproc(["0.04", "0.9", "0.001"], encoding=encoding) == (EXIT_CONFIG, [], message)
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "latin-1", "shift_jis", "gbk"])
+    def test_ascii_compatible_encoding_decides(self, encoding):
+        lines = ["0.04", "0.9", "0.001"]
+        assert run_stream_inproc(lines, encoding=encoding) == run_stream_inproc(lines)
 
     def test_empty_input(self):
         code, out, _ = run_stream_inproc([])
