@@ -1,19 +1,19 @@
 """Command-line surface: simulate experiment grids, stream decisions, dump schedules.
 
 Exit codes: 0 success, 2 malformed flags or config (a stdin encoding that
-``stream`` cannot split into lines included), 3 unwritable output, 4
-malformed stream input. The stream command is strictly online: each
-decision depends only on earlier lines and is written and flushed before
-the command waits for more input, and a bad line aborts immediately
-(silently skipping inputs would void the error-control guarantee). The
-lines that have arrived are taken as one block: its good prefix is
-decided through the engines' shared core from the stream's carried
-state when it is long enough to pay for the call, and by folding the
-rule's step over it when it is short, as a line typed at a time is. A
-block of ``_FORMAT_LINES`` lines or more is then written by one
-vectorized pass whose bytes equal ``repr``'s (``_format_block``, with
-the shortest digits from ``_decimal``); a shorter block, or one holding
-a subnormal level or P-value, is written line by line with the f-string.
+``stream`` cannot split into lines, and an ``n`` or ``--head`` too large
+to hold in memory, included), 3 unwritable output, 4 malformed stream
+input. The stream command is strictly online: each decision depends only
+on earlier lines and is written and flushed before the command waits for
+more input, and a bad line aborts immediately (silently skipping inputs
+would void the error-control guarantee). The lines that have arrived are
+taken as one block, and its good prefix is decided from the stream's
+carried state one of two ways. A block of ``_BLOCK_LINES`` lines or more
+whose P-values and levels are all zero or normal goes through the
+engines' shared core and is written by one vectorized pass whose bytes
+equal ``repr``'s (``_format_block``, with the shortest digits from
+``_decimal``). Any other block, as a line typed at a time is, folds the
+rule's step over its lines and writes each with the f-string.
 """
 
 from __future__ import annotations
@@ -133,7 +133,9 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     """Run the grid described by a config file and write the CSV.
 
     ``seed`` and ``reps`` override the config file when given; a bad
-    override is reported under its flag (``error: --seed: ...``).
+    override is reported under its flag (``error: --seed: ...``). A grid
+    whose largest n does not fit in memory is reported under its ``n``
+    or ``n_values`` key, with exit code 2.
     """
     stderr = stderr or sys.stderr
     try:
@@ -153,7 +155,12 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     except FieldError as exc:
         print(f"error: --{exc.field}: {exc}", file=stderr)
         return EXIT_CONFIG
-    rows = run_grid(base, r_values, n_values)
+    try:
+        rows = run_grid(base, r_values, n_values)
+    except MemoryError:  # each cell holds arrays of its n values
+        key = "n" if any(line.partition("=")[0].strip() == "n" for line in text.splitlines()) else "n_values"
+        print(f"error: {ConfigError(key, f'n = {max(n_values)} does not fit in memory')}", file=stderr)
+        return EXIT_CONFIG
     try:
         write_csv(rows, out_path)
     except OSError as exc:
@@ -166,30 +173,19 @@ _STREAM_RULES = tuple(_RULES)
 _BLOCK_BYTES = 1 << 16
 
 # A block of at least this many good lines is decided through the core
-# (the state's ``_decide``), a shorter one by folding the step over it. A
-# core call costs a fixed 10-30 us, a step about 1 us. Measured in-process
-# (``cmd_stream`` over the benchmark's seed-0 file cut into blocks of m
-# lines, median of 11; 2-vCPU x86 host, Python 3.11.7, numpy 2.4.6), the
-# core's cost per block over the fold's is 1.17-1.59 at m = 8, 1.00-1.07
-# at 24, 0.94-0.99 at 32 and 0.86-0.95 at 64, for lord and lond under
-# both schedule kinds. So one-line blocks, as a closed loop sends them,
-# stay on the steps.
-_CORE_LINES = 32
-
-
-# A block decided through the core is written by ``_format_block``'s
-# vectorized pass when it holds at least this many lines, else by the
-# per-line f-string. The pass costs a fixed ~0.15 ms (about 150 numpy
+# (the state's ``_decide``) and written by ``_format_block``'s vectorized
+# pass, a shorter one by folding the step over it and writing each line
+# with the f-string. The pass costs a fixed ~0.15 ms (about 150 numpy
 # calls), the f-string ~1.5 us a line. Measured in-process (the benchmark's
 # seed-0 file under lond adaptive and lord power, a block of m lines from
 # line 20001, median of 300 alternating calls; 2-vCPU x86 host, Python
 # 3.11.7, numpy 2.4.6), the pass's cost over the f-string's is 1.30-1.31
 # at m = 96, 1.04-1.05 at 128, 0.87-0.91 at 160, 0.77-0.78 at 192 and
-# 0.66-0.67 at 256. A whole ``cmd_stream`` block costs what it did before
-# the pass at 32 lines (105 and 82 us for lond and lord, against 107 and
-# 82) and at 128 (within the host's noise), and less at 512 (706 and
-# 763 us, against 1106 and 1130).
-_FORMAT_LINES = 160
+# 0.66-0.67 at 256. Over whole ``cmd_stream`` blocks (the same file under
+# lond adaptive in m-line blocks, median of 5 on one CPU of the same host),
+# the core and the pass cost 2.2-2.4 us a line at m = 160 and the fold
+# 2.9-3.0; at m = 96 they are level.
+_BLOCK_LINES = 160
 
 _TINY = 2.0**-1022  # the least normal float
 
@@ -233,10 +229,10 @@ def _format_block(start: int, alpha, p, rejected) -> str:
     (lines x words) matrix and a mask in ``repr``'s notation (``0.`` and
     zeros before the digits from 1e-4 up, ``d.ddde-XX[X]`` below; 0.0 and
     1.0 as they are), and the kept bytes are the text. Every value must
-    be zero or normal: ``cmd_stream`` writes a block holding a subnormal,
-    whose digits may differ from ``repr``'s, with the f-string, as it does
-    a block under ``_FORMAT_LINES`` lines, where the pass's fixed cost
-    outweighs its gain.
+    be zero or normal: ``cmd_stream`` folds the step over a block that
+    may hold a subnormal, whose digits may differ from ``repr``'s, as it
+    does over a block under ``_BLOCK_LINES`` lines, where the pass's fixed
+    cost outweighs its gain.
     """
     from . import _decimal  # here, so that its tables are built by the first large block, not at import
 
@@ -345,13 +341,17 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     ``error:`` line and exit code 2 before anything is read.
 
     Each block's lines are parsed up to the first bad one. That good
-    prefix is decided from the carried state (``LordState``/``LondState``):
-    through the shared core when it holds at least ``_CORE_LINES`` values,
-    by folding the rule's step over it when shorter. Both give the bits
-    of the fold, so the split changes no output. A block of
-    ``_FORMAT_LINES`` lines or more is written by one vectorized pass
-    (``_format_block``) whose bytes equal ``repr``'s; a shorter block, or
-    one holding a subnormal level or P-value, takes the per-line f-string.
+    prefix is decided from the carried state (``LordState``/``LondState``)
+    one of two ways, which give the same bytes, so the split changes no
+    output. A prefix of ``_BLOCK_LINES`` values or more goes through the
+    shared core and one vectorized pass (``_format_block``) whose bytes
+    equal ``repr``'s, unless a P-value is subnormal or lambda at the
+    prefix's last index is under 2**-1022. The schedules do not increase,
+    so no level of the block is below that lambda (a lord level is
+    lambda_{j - t} >= lambda_j, a lond one min(1, lambda_j (D + 1)) >=
+    lambda_j), and this check, made before deciding, finds every block
+    that may hold a subnormal level. Such a prefix, and a shorter one,
+    folds the rule's step and writes each line with the f-string.
 
     Output format: ``index alpha p REJECT|ACCEPT``. Every decision is
     written and flushed before the command waits for more input; lines
@@ -386,7 +386,9 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     try:
         for lines in _split_lines(stdin.buffer.read1):
             values = _good_prefix(lines, encoding, errors)
-            if len(values) < _CORE_LINES:
+            p = np.array(values) if len(values) >= _BLOCK_LINES else None
+            if (p is None or _subnormal(p)
+                    or schedule.lambda_at(state.next_index + p.size - 1) < _TINY):
                 # A plain loop: a comprehension's own call would add ~0.5 us
                 # to each one-line block of a closed loop.
                 out = []
@@ -395,14 +397,8 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
                     out.append(f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n")
                     discoveries += r
             else:
-                p = np.array(values)
                 alpha, rejected = state._decide(schedule, p)
-                start = state.next_index - len(values)
-                if len(values) < _FORMAT_LINES or _subnormal(alpha) or _subnormal(p):
-                    rows = zip(range(start, state.next_index), alpha.tolist(), values, rejected.tolist())
-                    out = [f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n" for i, a, p, r in rows]
-                else:
-                    out = [_format_block(start, alpha, p, rejected)]
+                out = [_format_block(state.next_index - p.size, alpha, p, rejected)]
                 discoveries += int(np.count_nonzero(rejected))
             count += len(values)
             stdout.write("".join(out))

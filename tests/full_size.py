@@ -158,8 +158,8 @@ SEED0 = stream_pvalues(PINNED["seed"], "full").tolist()  # the benchmark's seed-
 def test_pinned_stream_bytes(k):
     """The seed-0 file under lond adaptive gives the stdout pinned for the benchmark.
 
-    k = 1 and 31 take the step fold, 32 and 159 the core and the per-line
-    f-string, 160 the core and the vectorized formatter.
+    k = 1, 31, 32 and 159 take the step fold and the per-line f-string,
+    160 the core and the vectorized formatter.
     """
     code, out = stream(["--procedure", "lond", "--adaptive"], pvalue_lines(SEED0), k)
     assert (code, hashlib.sha256(out).hexdigest()) == (0, PINNED["stream-cli"])
@@ -174,25 +174,30 @@ def u40_file():
 
 
 @pytest.mark.parametrize("rule", ["lord", "lond"])
-@pytest.mark.parametrize("file", ["seed-0", "U**40"])
-def test_stream_against_step_fold(file, rule):
-    """Fed in one write under the power schedule (nu 1.05), ``stream`` prints a fold of the rule's step.
+@pytest.mark.parametrize("file, nu", [("seed-0", None), ("U**40", None), ("seed-0", 1020)],
+                         ids=["seed-0", "U**40", "seed-0-nu-1020"])
+def test_stream_against_step_fold(file, nu, rule):
+    """Fed in one write under a power schedule, ``stream`` prints a fold of the rule's step.
 
-    The fold's lines are written by the per-line f-string here, while the
-    command decides its 64 KB blocks through the shared core, which
-    run_stream shares too, and writes them with its vectorized formatter,
-    so the fold is the reference for both. The U**40 file's subnormal
-    blocks take the command's f-string. The fold's schedule takes
-    L = q / zeta(nu) from scipy, not from make_power_schedule, so a drift
-    in L shows here.
+    The fold's lines are written by the per-line f-string here. Under the
+    default nu 1.05 the command decides its 64 KB blocks through the
+    shared core, which run_stream shares too, and writes them with its
+    vectorized formatter, so the fold is the reference for both. The
+    U**40 file's blocks that hold a subnormal P-value, and every block
+    under nu 1020 (lambda_2 is subnormal, every later lambda 0.0), take
+    the command's own step fold instead, as its check before deciding
+    finds them. The fold's schedule takes L = q / zeta(nu) from scipy,
+    not from make_power_schedule, so a drift in L shows here.
     """
     pvalues = SEED0 if file == "seed-0" else u40_file()
-    schedule = LambdaSchedule("power", 0.1, 1.05, 0.1 / float(special.zeta(1.05)))
+    flags = [] if nu is None else ["--nu", str(nu)]
+    nu = 1.05 if nu is None else float(nu)
+    schedule = LambdaSchedule("power", 0.1, nu, 0.1 / float(special.zeta(nu)))
     state, step = {"lord": (LordState(), lord_step), "lond": (LondState(), lond_step)}[rule]
     decisions = [step(state, schedule, p) for p in pvalues]
     expected = [f"{d.index} {d.alpha!r} {d.p!r} {'REJECT' if d.rejected else 'ACCEPT'}".encode() for d in decisions]
     expected += [f"# discoveries={sum(d.rejected for d in decisions)} n={len(decisions)}".encode(), b""]
-    code, out = stream(["--procedure", rule], pvalue_lines(pvalues))
+    code, out = stream(["--procedure", rule, *flags], pvalue_lines(pvalues))
     assert code == 0
     assert out.split(b"\n") == expected  # the first line that differs, if one does
 

@@ -242,6 +242,21 @@ class TestSimulateCommand:
         assert code == EXIT_CONFIG
         assert "error: --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, key", [
+        ("n = 1000000000000000\n", "n"),  # the lambda array of the cell fails
+        ("n_values = 1000, 1000000000000000\n", "n_values"),
+        ("n_values = 1000, 1000000000000000\nprocedures = bh\n", "n_values"),  # make_mixture fails
+    ], ids=["n", "n_values", "bh-only"])
+    def test_n_too_large_for_memory_is_named(self, grid, key, tmp_path, capsys):
+        # 8e15 bytes exceed a 47-bit user address space, so each allocation
+        # is refused at once and no memory is touched.
+        config = tmp_path / "exp.cfg"
+        config.write_text(grid + "beta = 0.5\nr = 0.8\nreps = 2\n")
+        assert cmd_simulate(str(config), str(tmp_path / "o.csv")) == EXIT_CONFIG
+        message = f"error: config key '{key}': n = 1000000000000000 does not fit in memory\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestScheduleCommand:
     def run(self, q=0.1, nu=None, adaptive=False, head=10):
@@ -487,13 +502,16 @@ class TestStreamBlocks:
 
     @pytest.mark.parametrize("procedure", ["lord", "lond"])
     def test_block_at_the_crossover_skips_the_step(self, procedure, monkeypatch):
-        def patched(state, schedule, p):
-            raise AssertionError("the step ran")
-
-        monkeypatch.setattr(cli, f"{procedure}_step", patched)
-        lines = b"".join(b"%r\n" % x for x in RNG_LINES[:cli._CORE_LINES])
-        code, stdout, _ = stream_chunks([lines], procedure=procedure)
-        assert code == EXIT_OK and stdout.getvalue().endswith(f" n={cli._CORE_LINES}\n")
+        calls = []
+        step = getattr(cli, f"{procedure}_step")
+        monkeypatch.setattr(cli, f"{procedure}_step",
+                            lambda state, schedule, p: calls.append(p) or step(state, schedule, p))
+        for n in (cli._BLOCK_LINES - 1, cli._BLOCK_LINES):
+            lines = b"".join(b"%r\n" % x for x in RNG_LINES[:n])
+            code, stdout, _ = stream_chunks([lines], procedure=procedure)
+            assert code == EXIT_OK and stdout.getvalue().endswith(f" n={n}\n")
+        # Once per line of the block under the crossover, never in the one at it.
+        assert calls == RNG_LINES[:cli._BLOCK_LINES - 1]
 
     @pytest.mark.parametrize("nu, adaptive", [(1.05, False), (None, True)])
     @pytest.mark.parametrize("procedure", ["lord", "lond"])
@@ -509,7 +527,7 @@ class TestStreamBlocks:
     @pytest.mark.parametrize("procedure", ["lord", "lond"])
     def test_bad_line_in_a_large_block(self, procedure, bad):
         lines = [b"%r\n" % x for x in RNG_LINES]
-        for k in (0, cli._CORE_LINES - 1, cli._CORE_LINES, len(lines) - 1):
+        for k in (0, cli._BLOCK_LINES - 1, cli._BLOCK_LINES, len(lines) - 1):
             code, stdout, err = stream_chunks([b"".join(lines[:k] + [bad + b"\n"] + lines[k + 1:])],
                                               procedure=procedure)
             before = stream_chunks(lines[:k], procedure=procedure)[1].getvalue()
@@ -555,7 +573,7 @@ class TestFormatBlock:
     def test_matches_the_fstring(self, start):
         # 9999 -> 10000 and 99999 -> 100000 inside the block; 99999999 -> 1e8
         # crosses to a second word of index digits.
-        alpha, p, rejected = block(max(cli._FORMAT_LINES, 300), seed=start)
+        alpha, p, rejected = block(max(cli._BLOCK_LINES, 300), seed=start)
         assert cli._format_block(start, alpha, p, rejected) == fstring_lines(start, alpha, p, rejected)
 
     def test_a_large_random_block(self):
@@ -582,7 +600,7 @@ class TestFormatBlock:
     @pytest.mark.parametrize("procedure", ["lord", "lond"])
     def test_subnormal_level_takes_the_fstring(self, procedure):
         # A budget of 1e-310 makes every level subnormal.
-        pvalues = RNG_LINES[:cli._FORMAT_LINES]
+        pvalues = RNG_LINES[:cli._BLOCK_LINES]
         stdout = io.StringIO()
         lines = b"".join(b"%r\n" % x for x in pvalues)
         assert cmd_stream(procedure, 1e-310, None, True, stdin=arrivals([lines]), stdout=stdout,
@@ -595,6 +613,34 @@ class TestFormatBlock:
                            for i, a, p, r in decisions)
         assert stdout.getvalue().rsplit("#", 1)[0] == expected
 
+    @pytest.mark.parametrize("cuts", [(), (1,), (1, 161, 700)], ids=["one-read", "one-line-first", "split"])
+    @pytest.mark.parametrize("procedure", ["lord", "lond"])
+    def test_levels_turning_subnormal_inside_a_block_take_the_fold(self, procedure, cuts, monkeypatch):
+        # Under nu = 1020, lambda_1 = 0.1, lambda_2 = 8.900295434028804e-309
+        # and every later lambda is 0.0. A block from index 1 holds all three
+        # levels, and so does a later lord block, as a P-value of 0.0 rejects
+        # at a zero level and lord starts again at lambda_1. lambda at each
+        # block's last index is 0.0, so even the blocks of 160 lines or more
+        # fold the step.
+        schedule = make_power_schedule(1020, 0.1)
+        assert [schedule.lambda_at(i) for i in (1, 2, 3, 10**6)] == [0.1, 8.900295434028804e-309, 0.0, 0.0]
+        pvalues = RNG_LINES.copy()
+        pvalues[1::7] = [0.0] * len(pvalues[1::7])  # a rejection at a zero level
+        lines = [b"%r\n" % x for x in pvalues]
+
+        def refused(*args):
+            raise AssertionError("the vectorized pass ran")
+
+        monkeypatch.setattr(cli, "_format_block", refused)
+        chunks = [b"".join(lines[i:j]) for i, j in zip((0, *cuts), (*cuts, len(lines)))]
+        code, stdout, _ = stream_chunks(chunks, procedure=procedure, nu=1020)
+        state, step = {"lord": (LordState(), lord_step), "lond": (LondState(), lond_step)}[procedure]
+        decisions = [step(state, schedule, p) for p in pvalues]
+        assert {d.alpha for d in decisions} == {0.1, 8.900295434028804e-309, 0.0}
+        expected = "".join(f"{i} {a!r} {p!r} {'REJECT' if r else 'ACCEPT'}\n"
+                           for i, a, p, r in decisions)
+        assert (code, stdout.getvalue().rsplit("#", 1)[0]) == (EXIT_OK, expected)
+
     @pytest.mark.parametrize("procedure, nu, adaptive", [("lord", 1.05, False), ("lond", None, True)])
     def test_blocks_at_the_crossover_give_the_bytes_of_line_at_a_time(self, procedure, nu, adaptive,
                                                                       monkeypatch):
@@ -603,11 +649,11 @@ class TestFormatBlock:
         vectorized = cli._format_block
         monkeypatch.setattr(cli, "_format_block",
                             lambda *args: calls.append(len(args[2])) or vectorized(*args))
-        for n in (cli._FORMAT_LINES - 1, cli._FORMAT_LINES):
+        for n in (cli._BLOCK_LINES - 1, cli._BLOCK_LINES):
             lines = [b"%r\n" % x for x in RNG_LINES[:n]]
             code, stdout, _ = stream_chunks([b"".join(lines)], **options)
             assert (code, stdout.getvalue()) == (EXIT_OK, stream_chunks(lines, **options)[1].getvalue())
-        assert calls == [cli._FORMAT_LINES]
+        assert calls == [cli._BLOCK_LINES]
 
 
 def read_line(stream, timeout=20.0):

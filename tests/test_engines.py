@@ -671,7 +671,7 @@ STEPS = ((LordState, lord_step), (LondState, lond_step))
 
 # Block lengths around the stream command's crossover from the steps to
 # the core, and about one 64 KB read of the benchmark's stream file.
-BLOCK_LENGTHS = [1, 2, cli._CORE_LINES - 1, cli._CORE_LINES, cli._CORE_LINES + 1, 3000]
+BLOCK_LENGTHS = [1, 2, cli._BLOCK_LINES - 1, cli._BLOCK_LINES, cli._BLOCK_LINES + 1, 3000]
 
 
 def carried(state_type, start, state):

@@ -72,19 +72,19 @@ def test_scipy_loaded_only_where_needed(code, stdin, loaded):
 
 @pytest.mark.parametrize("procedure, flags", [("lond", ("--adaptive",)), ("lord", ())])
 def test_vectorized_block_loads_no_scipy(procedure, flags):
-    # One block of _FORMAT_LINES lines is written by the vectorized pass,
+    # One block of _BLOCK_LINES lines is written by the vectorized pass,
     # which loads the digits kernel and no scipy. Short lines keep the input
     # under PIPE_BUF, so the child reads it as one block.
     from streamfdr import cli
 
-    values = np.random.default_rng(4).random(cli._FORMAT_LINES).round(3)
+    values = np.random.default_rng(4).random(cli._BLOCK_LINES).round(3)
     pvalues = "".join(f"{x!r}\n" for x in values.tolist())
     assert len(pvalues) < 4096
     code = (stream(procedure, *flags) + "print('streamfdr._decimal' in sys.modules)" + SCIPY_LOADED)
     result = run_python(code, pvalues)
     assert result.returncode == 0, result.stderr
     summary, kernel_loaded, scipy_loaded = result.stdout.splitlines()[-3:]
-    assert summary.endswith(f" n={cli._FORMAT_LINES}")
+    assert summary.endswith(f" n={cli._BLOCK_LINES}")
     assert (kernel_loaded, scipy_loaded) == ("True", "False")
 
 
