@@ -1,9 +1,9 @@
 """Command-line surface: simulate experiment grids, stream decisions, dump schedules.
 
-Exit codes: 0 success, 2 malformed flags or config (a stdin encoding that
-``stream`` cannot split into lines, and an ``n`` or ``--head`` too large
-to hold in memory, included), 3 unwritable output, 4 malformed stream
-input. The stream command is strictly online: each decision depends only
+Exit codes: 0 success, 2 malformed flags or config (a config that cannot
+be read or is not UTF-8, a stdin encoding that ``stream`` cannot split
+into lines, and an ``n``, ``reps`` or ``--head`` too large to hold in
+memory, included), 3 unwritable output, 4 malformed stream input. The stream command is strictly online: each decision depends only
 on earlier lines and is written and flushed before the command waits for
 more input, and a bad line aborts immediately (silently skipping inputs
 would void the error-control guarantee). The lines that have arrived are
@@ -73,20 +73,16 @@ def parse_config(text: str):
         value = value.strip()
         if key in raw:
             raise ConfigError(key, "duplicate key")
-        if key in _SCALAR_KEYS:
-            caster = _SCALAR_KEYS[key]
-        elif key in _LIST_KEYS:
-            caster = _LIST_KEYS[key]
-        else:
+        if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
             raise ConfigError(key, "unknown key")
         try:
             if key in _LIST_KEYS:
                 parts = [part.strip() for part in value.split(",")]
                 if "" in parts:
                     raise ValueError("empty list item")
-                raw[key] = [caster(part) for part in parts]
+                raw[key] = [_LIST_KEYS[key](part) for part in parts]
             else:
-                raw[key] = caster(value)
+                raw[key] = _SCALAR_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(key, f"bad value {value!r} ({exc})") from None
 
@@ -133,15 +129,19 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     """Run the grid described by a config file and write the CSV.
 
     ``seed`` and ``reps`` override the config file when given; a bad
-    override is reported under its flag (``error: --seed: ...``). A grid
-    whose largest n does not fit in memory is reported under its ``n``
-    or ``n_values`` key, with exit code 2.
+    override is reported under its flag (``error: --seed: ...``). A config
+    that cannot be opened or is not UTF-8 text is reported as ``error:
+    cannot read config: ...``. A cell whose arrays of n values do not fit
+    in memory is reported under its ``n`` or ``n_values`` key; a grid
+    whose units or rows, one per replicate, do not is reported under
+    ``--reps`` when the flag set it, else under the ``reps`` key. Each of
+    these exits with code 2.
     """
     stderr = stderr or sys.stderr
     try:
-        with open(config_path) as handle:
+        with open(config_path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=stderr)
         return EXIT_CONFIG
     try:
@@ -152,14 +152,18 @@ def cmd_simulate(config_path: str, out_path: str, seed=None, reps=None, stderr=N
     overrides = {k: v for k, v in (("seed", seed), ("reps", reps)) if v is not None}
     try:
         base = dataclasses.replace(base, **overrides)
-    except FieldError as exc:
-        print(f"error: --{exc.field}: {exc}", file=stderr)
-        return EXIT_CONFIG
-    try:
         rows = run_grid(base, r_values, n_values)
-    except MemoryError:  # each cell holds arrays of its n values
-        key = "n" if any(line.partition("=")[0].strip() == "n" for line in text.splitlines()) else "n_values"
-        print(f"error: {ConfigError(key, f'n = {max(n_values)} does not fit in memory')}", file=stderr)
+    except (FieldError, MemoryError) as exc:
+        # A bad override, a cell's arrays of its n values (``run_grid``'s
+        # FieldError naming n), or else the grid's units and rows, one per replicate.
+        if isinstance(exc, MemoryError):
+            exc = FieldError("reps", f"reps = {base.reps} does not fit in memory")
+        if exc.field in overrides:
+            print(f"error: --{exc.field}: {exc}", file=stderr)
+        else:  # a config key: a grid's n values are blamed on n_values
+            keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+            key = "n_values" if exc.field == "n" and "n" not in keys else exc.field
+            print(f"error: {ConfigError(key, str(exc))}", file=stderr)
         return EXIT_CONFIG
     try:
         write_csv(rows, out_path)
@@ -381,7 +385,6 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
     if b"\n".decode(encoding, "replace") != "\n":
         print(f"error: stdin encoding {encoding!r} does not end a line at the byte \\n", file=stderr)
         return EXIT_CONFIG
-    count = 0
     discoveries = 0
     try:
         for lines in _split_lines(stdin.buffer.read1):
@@ -400,13 +403,12 @@ def cmd_stream(procedure: str, q: float, nu, adaptive: bool,
                 alpha, rejected = state._decide(schedule, p)
                 out = [_format_block(state.next_index - p.size, alpha, p, rejected)]
                 discoveries += int(np.count_nonzero(rejected))
-            count += len(values)
             stdout.write("".join(out))
             stdout.flush()
             if len(values) < len(lines):
-                print(f"# error line {count + 1}", file=stderr)
+                print(f"# error line {state.next_index}", file=stderr)
                 return EXIT_STREAM
-        stdout.write(f"# discoveries={discoveries} n={count}\n")
+        stdout.write(f"# discoveries={discoveries} n={state.next_index - 1}\n")
         stdout.flush()
     except BrokenPipeError as exc:
         return _closed_output(exc, stdout, stderr)

@@ -237,14 +237,14 @@ def lond_step(state: LondState, schedule: LambdaSchedule, p: float) -> Decision:
 
 
 def _lord_bound(values: np.ndarray, lam: np.ndarray, *_) -> np.ndarray:
-    """Candidates of lord: every level is some lambda_j, so at most the largest.
+    """Candidates of lord: every level is some lambda_j, so at most lambda_1.
 
-    This holds for any schedule, position and start state. The rounds of
-    ``_rejected`` need more: a schedule that does not increase, as
-    ``LambdaSchedule`` defines one, so that a later last discovery never
-    lowers a level.
+    The rounds of ``_rejected`` already need a schedule that does not
+    increase, as ``LambdaSchedule`` defines one, so that a later last
+    discovery never lowers a level; so the largest value is lambda_1.
+    ``lam[:1]`` is empty for an empty stream, which has no candidate.
     """
-    return values <= lam.max(initial=0.0)
+    return values <= lam[:1]
 
 
 def _lord_round(lam: np.ndarray, positions: np.ndarray, values: np.ndarray, t):
@@ -263,11 +263,14 @@ def _lord_round(lam: np.ndarray, positions: np.ndarray, values: np.ndarray, t):
 
 
 def _lord_settle(t, positions: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """``t`` at each position once the ``hit`` ones are settled (read where ``hit`` is False)."""
-    last = np.where(hit, positions, -1)
-    np.maximum.accumulate(last, out=last)
-    last += 1
-    return np.maximum(t, last, out=last)
+    """``t`` at each position once the ``hit`` ones are settled (read where ``hit`` is False).
+
+    ``t`` must not decrease along ``positions``: a scalar does not, and the
+    rounds carry ``settled[live]``, taken from an accumulated maximum. Then
+    the maximum of ``t`` and 1 + every hit before a position is one
+    accumulated maximum, started from ``t`` where there is no hit.
+    """
+    return np.maximum.accumulate(np.where(hit, positions + 1, t))
 
 
 def _lord_walk(lam: memoryview, positions: list, values: list, t: int) -> list:
@@ -419,7 +422,7 @@ def _rejected(rule: _Rule, lam: np.ndarray, values: np.ndarray, positions=None,
             break
         live ^= hit  # a settled candidate is at or below both levels
         rejected[hit if index is None else index[hit]] = True
-        left = np.count_nonzero(live)
+        left = int(np.count_nonzero(live))  # a Python int, so the stop test cannot overflow
         if not left:
             break
         first = int(live.argmax())

@@ -186,24 +186,32 @@ def make_mixture(config: MixtureConfig, replicate: int) -> MixtureDataset:
 class _Cell(NamedTuple):
     """What every replicate of one cell reads: built once, then only read, so threads share it."""
 
-    config: MixtureConfig
-    procedures: tuple
+    config: MixtureConfig  # its ``procedures`` decide, in order
     lam: np.ndarray | None  # lambda_1 .. lambda_n, read-only; None when only bh decides
     cut: float  # P-values are computed where the statistic reaches it
 
 
-def _cell(config: MixtureConfig, procedures, lam: np.ndarray | None = None) -> _Cell:
+def _no_room(config: MixtureConfig) -> FieldError:
+    """The error for a cell whose arrays of n values do not fit in memory: it names ``n``."""
+    return FieldError("n", f"n = {config.n} does not fit in memory")
+
+
+def _cell(config: MixtureConfig, lam: np.ndarray | None = None) -> _Cell:
     """The cell's shared inputs; lambda_1 .. lambda_n is built unless given.
 
-    It is built only when a streaming rule decides, so the cells of one
-    n can pass on the array that the first of them built.
+    It is built only when a streaming rule of ``config.procedures``
+    decides, so the cells of one n can pass on the array that the first
+    of them built. An array too large to hold raises ``_no_room``.
     """
-    if lam is None and any(proc != "bh" for proc in procedures):
-        lam = config.make_schedule().prefix(config.n)
+    if lam is None and any(proc != "bh" for proc in config.procedures):
+        try:
+            lam = config.make_schedule().prefix(config.n)
+        except MemoryError:
+            raise _no_room(config) from None
     budget = 2.0 * config.effective_q()
     # gamma = 1 takes no cut: its survival is one exp, and the quantile would load scipy.
     cut = -np.inf if budget >= 1.0 or config.gamma == 1.0 else gg_quantile(config.kernel, budget)
-    return _Cell(config, tuple(procedures), lam, cut)
+    return _Cell(config, lam, cut)
 
 
 def _decided(procedure: str, n: int, keep: np.ndarray, val: np.ndarray, q: float,
@@ -221,23 +229,27 @@ def _unit(cell: _Cell, rep: int) -> list[MetricsRecord]:
     cell's cut, computes their P-values, lets every procedure decide on
     them and counts the rejected positions and the signals among them
     (see ``_cell_records``). It reads the cell and writes only the arrays
-    it makes, so units run side by side on threads.
+    it makes, so units run side by side on threads. Arrays too large to
+    hold raise ``_no_room``.
     """
     config = cell.config
     n, q = config.n, config.effective_q()
-    dataset = make_mixture(config, rep)
-    stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
-    keep = np.flatnonzero(stats >= cell.cut)
-    val = _check_p_array(pvalue(config.kernel, stats[keep]))
-    truth = dataset.truth
-    del dataset, stats  # frees the n statistics: the decisions read the kept ones alone
-    signal = truth.signal_mask()  # one mask serves every procedure's count
-    signals = truth.false_null_indices.size
-    records = []
-    for proc in cell.procedures:
-        hits = _decided(proc, n, keep, val, q, cell.lam)
-        f, g = _fdp_fnp(hits.size, int(np.count_nonzero(signal[hits])), signals)
-        records.append(MetricsRecord(n=n, fdp=f, fnp=g, rejections=hits.size, replicate_id=rep))
+    try:
+        dataset = make_mixture(config, rep)
+        stats = _as_finite_array(dataset.statistics)  # every position, skipped ones too
+        keep = np.flatnonzero(stats >= cell.cut)
+        val = _check_p_array(pvalue(config.kernel, stats[keep]))
+        truth = dataset.truth
+        del dataset, stats  # frees the n statistics: the decisions read the kept ones alone
+        signal = truth.signal_mask()  # one mask serves every procedure's count
+        signals = truth.false_null_indices.size
+        records = []
+        for proc in config.procedures:
+            hits = _decided(proc, n, keep, val, q, cell.lam)
+            f, g = _fdp_fnp(hits.size, int(np.count_nonzero(signal[hits])), signals)
+            records.append(MetricsRecord(n=n, fdp=f, fnp=g, rejections=hits.size, replicate_id=rep))
+    except MemoryError:
+        raise _no_room(config) from None
     return records
 
 
@@ -328,6 +340,10 @@ def _run(cells: list[_Cell]) -> list[list[list[MetricsRecord]]]:
 def _cell_records(config: MixtureConfig, procedures) -> list[list[MetricsRecord]]:
     """One record list per entry of ``procedures``, in order, for one cell.
 
+    The cell is ``config`` with its procedures replaced by ``procedures``,
+    so a name outside ``PROCEDURES``, a repeated one or none at all
+    raises ``MixtureConfig``'s ``FieldError`` naming ``procedures``.
+
     Each replicate's dataset and P-values are built once and every
     procedure decides on them (``_unit``). The replicates run on threads
     as in ``run_grid``, with the same records for every thread count.
@@ -352,7 +368,7 @@ def _cell_records(config: MixtureConfig, procedures) -> list[list[MetricsRecord]
     the full vector with 1.0 there gives. FDP and FNP come from the count
     of rejected positions and of those that are signals.
     """
-    return _run([_cell(config, procedures)])[0]
+    return _run([_cell(replace(config, procedures=tuple(procedures)))])[0]
 
 
 def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
@@ -361,10 +377,10 @@ def run_cell(config: MixtureConfig, procedure: str) -> list[MetricsRecord]:
     The streaming rules consume P-values in index order 1..n; the static
     baseline sees the whole vector at once. Each replicate is generated
     once here; ``run_grid`` generates it once for all procedures of a cell.
-    The replicates run on threads as in ``run_grid``.
+    The replicates run on threads as in ``run_grid``. A ``procedure``
+    outside ``PROCEDURES`` raises ``MixtureConfig``'s ``FieldError`` (a
+    ``ValueError``) naming ``procedures``.
     """
-    if procedure not in PROCEDURES:
-        raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
     return _cell_records(config, (procedure,))[0]
 
 
@@ -411,11 +427,11 @@ def run_grid(base: MixtureConfig, r_values, n_values) -> list[dict]:
     for n in n_values:
         lam = None  # one build per n: the budget, hence lambda, may vary with n
         for r in r_values:
-            cells.append(_cell(replace(base, n=n, r=float(r)), base.procedures, lam))
+            cells.append(_cell(replace(base, n=n, r=float(r)), lam))
             lam = cells[-1].lam
     rows = []
     for cell, cell_records in zip(cells, _run(cells)):
-        for procedure, records in zip(cell.procedures, cell_records):
+        for procedure, records in zip(cell.config.procedures, cell_records):
             rows.extend(_row(cell.config, procedure, rec) for rec in records)
             rows.append(_row(cell.config, procedure, pool(records)))
     return rows

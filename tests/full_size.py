@@ -95,12 +95,25 @@ def test_readme_library_examples():
         exec(compile(block, "README.md", "exec"), namespace)
 
 
+def lord_from_carried_level(pvalues, schedule):
+    """lord from next index 2e7 and last discovery 1, with the first P-value set to that state's level.
+
+    The first value ties the carried level lambda_{2e7 - 1}, so it rejects
+    and starts the chain that the values after it continue.
+    """
+    state = LordState(next_index=2 * 10**7, last_discovery=1)
+    pvalues[0] = schedule.lambda_at(state.next_index - state.last_discovery)
+    return state._decide(schedule, pvalues)
+
+
 CHAINS = {  # name: (rule, P-values at n from lambda_1 .. lambda_n)
     "lord-chain": (lord_levels, lambda lam: np.full(len(lam), np.nextafter(lam[0], 0.0))),  # each link at lambda_1
     "lond-chain": (lond_levels, lambda lam: np.nextafter(np.minimum(lam * np.arange(1.0, len(lam) + 1.0), 1.0),
                                                          0.0)),  # each link at lambda_i * i
     "400-zeros-then-lord-chain": (lord_levels, lambda lam: np.where(np.arange(len(lam)) < 400, 0.0,
                                                                     np.nextafter(lam[0], 0.0))),
+    "lord-chain-from-carried-level": (lord_from_carried_level,
+                                      lambda lam: np.full(len(lam), np.nextafter(lam[0], 0.0))),
     "lord-all-zero": (lord_levels, np.zeros_like),
     "lond-all-zero": (lond_levels, np.zeros_like),
 }

@@ -204,6 +204,17 @@ class TestSimulateCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert cmd_simulate(str(tmp_path / "nope.cfg"), str(tmp_path / "o.csv")) == EXIT_CONFIG
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # A comment saved as latin-1: the byte 0xe9 does not decode as UTF-8.
+        config = tmp_path / "exp.cfg"
+        config.write_bytes(b"n = 100\nbeta = 0.5\nr = 0.5\nreps = 2\n# caf\xe9\n")
+        assert cmd_simulate(str(config), str(tmp_path / "o.csv")) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xe9")
+        assert captured.err.count("\n") == 1 and captured.err.count("error:") == 1
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(GOOD_CONFIG)
@@ -256,6 +267,41 @@ class TestSimulateCommand:
         message = f"error: config key '{key}': n = 1000000000000000 does not fit in memory\n"
         assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "o.csv").exists()
+
+
+# Runs ``cli.main`` on its arguments with the address space capped at 256 MiB
+# over what the interpreter holds once the package is imported, so a grid
+# whose replicate list cannot fit stops at once. The cap is set before the
+# command runs: without it the list of a trillion replicates would grow until
+# the system ran out of memory.
+CAPPED_MAIN = """\
+import resource, sys
+from streamfdr import cli
+held = int(open("/proc/self/status").read().split("VmSize:")[1].split()[0]) * 1024
+limit = held + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the address space through /proc")
+@pytest.mark.parametrize("reps_line, flags, where", [
+    ("reps = 1000000000000\n", [], "config key 'reps'"),
+    ("reps = 2\n", ["--reps", "1000000000000"], "--reps"),
+], ids=["key", "flag"])
+def test_reps_too_many_to_hold_is_named(reps_line, flags, where, tmp_path):
+    # n = 100 fits; the grid's list of (cell, replicate) units does not.
+    # gamma = 1 keeps scipy out of the capped child.
+    config = tmp_path / "exp.cfg"
+    config.write_text("n = 100\nbeta = 0.5\nr = 0.5\ngamma = 1\n" + reps_line)
+    out = tmp_path / "o.csv"
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "simulate", str(config), "--out", str(out), *flags],
+        capture_output=True, text=True, timeout=120,
+    )
+    message = f"error: {where}: reps = 1000000000000 does not fit in memory\n"
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_CONFIG, "", message)
+    assert not out.exists()
 
 
 class TestScheduleCommand:

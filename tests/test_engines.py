@@ -762,6 +762,19 @@ class TestCarriedState:
                     assert_blocks_match_fold(p, sched, [length // 2], start, state)
                     assert_blocks_match_fold(p, sched, [], start, state)
 
+    @pytest.mark.parametrize("start, state", [(500, 400), (2 * 10**7, 1)])
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_lord_chain_from_the_carried_level(self, name, length, start, state):
+        # The first value ties the carried level lambda_{i - t} and so starts
+        # a lord chain: every later value sits one ulp under lambda_1, the
+        # level each rejection leaves.
+        sched, n = SCHEDULES[name], 4000
+        p = np.full(n, np.nextafter(sched.lambda_at(1), 0.0))
+        p[0] = sched.lambda_at(start - state)
+        assert carried(LordState, start, state)._decide(sched, p)[1].all()
+        assert_blocks_match_fold(p, sched, np.arange(length, n, length), start, state)
+
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_constant_blocks_after_a_chain(self, name):
         # All-zero and all-one blocks between chain blocks: each block starts

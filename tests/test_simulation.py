@@ -270,8 +270,11 @@ class TestRunCell:
         assert all(0.0 <= rec.fdp <= 1.0 and 0.0 <= rec.fnp <= 1.0 for rec in records)
 
     def test_unknown_procedure(self):
-        with pytest.raises(ValueError):
+        # run_cell checks no name itself: MixtureConfig's FieldError, a ValueError, names the field.
+        with pytest.raises(ValueError) as err:
             run_cell(small_config(), "holm")
+        assert err.value.field == "procedures"
+        assert str(err.value) == "procedures: unknown entry 'holm'; choose from ('lord', 'lond', 'bh')"
 
     def test_deterministic(self):
         cfg = small_config(reps=3)
@@ -585,7 +588,7 @@ class TestThreads:
     def test_unit_memory_within_its_bound(self, overrides):
         # The pool's thread cap counts _UNIT_BYTES_PER_N bytes per statistic for each running unit.
         n = 200_000
-        cell = simulation._cell(small_config(n=n, reps=1, **overrides), simulation.PROCEDURES)
+        cell = simulation._cell(small_config(n=n, reps=1, **overrides))
         tracemalloc.start()
         try:
             simulation._unit(cell, 0)
